@@ -1,0 +1,6 @@
+"""The repository's benchmark: three workloads, end-to-end metrics, traced layers.
+
+Run it with ``python3 perfbench/run.py --workload <name> --seed <n>
+--seconds <s> --trace <0|1>`` from the repository root; README.md in this
+directory describes the workloads and every metric.
+"""
