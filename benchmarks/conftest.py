@@ -22,6 +22,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.scenarios.store import write_text_atomic
+
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 _BENCH_DIR = Path(__file__).resolve().parent
 
@@ -90,5 +92,5 @@ def write_bench_json(results_dir: Path, name: str, payload: dict) -> Path:
     path = results_dir / f"BENCH_{name}.json"
     machine = {"cpu_count": os.cpu_count() or 1}
     document = {"bench": name, "fast_mode": is_fast(), "machine": machine, **payload}
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
     return path

@@ -29,7 +29,6 @@ the ``num_shards=1`` identity and the jobs byte-stability.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,6 +37,7 @@ from ..simulator.config import SimulationConfig
 from ..simulator.metrics import StrategyResult
 from ..simulator.phase1 import build_tables_from_columns, spill_tables_to_disk
 from ..simulator.phase2 import run_strategy
+from ..simulator.pool import map_in_order
 from ..ycsb.workload import CoreWorkload, ReadOpColumns
 from .partitioner import ShardStream, make_partitioner, split_stream
 from .scheduler import ClusterScheduler, combine_shard_results
@@ -212,25 +212,7 @@ def run_sharded_cell(
     cross-shard work share workers — this entry point is the direct API
     (and the differential harness's).
     """
-    run_config = config.with_seed(config.seed + run_index)
-    num_shards = run_config.num_shards
-    if jobs > 1 and num_shards > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, num_shards)) as pool:
-            shard_runs = list(
-                pool.map(
-                    sharded_shard_task,
-                    [config] * num_shards,
-                    [labels] * num_shards,
-                    [run_index] * num_shards,
-                    range(num_shards),
-                )
-            )
-    else:
-        shard_runs = [
-            run_shard(run_config, labels, stream)
-            for stream in shard_streams(run_config)
-        ]
-    return combine_shard_runs(run_config, labels, shard_runs)
+    return ShardedEngine(config, labels).run(run_index, jobs=jobs)
 
 
 class ShardedEngine:
@@ -259,19 +241,16 @@ class ShardedEngine:
         """Every shard's individual result for one run (shard order)."""
         run_config = self.config.with_seed(self.config.seed + run_index)
         if jobs > 1 and run_config.num_shards > 1:
-            num_shards = run_config.num_shards
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, num_shards)
-            ) as pool:
-                return list(
-                    pool.map(
+            return map_in_order(
+                [
+                    (
                         sharded_shard_task,
-                        [self.config] * num_shards,
-                        [self.labels] * num_shards,
-                        [run_index] * num_shards,
-                        range(num_shards),
+                        (self.config, self.labels, run_index, shard_id),
                     )
-                )
+                    for shard_id in range(run_config.num_shards)
+                ],
+                jobs,
+            )
         return [
             run_shard(run_config, self.labels, stream)
             for stream in self.streams(run_index)

@@ -128,14 +128,6 @@ def combine_shard_results(
             f"mixed strategy labels in shard results for {label!r}"
         )
     metrics = scheduler.metrics(shard_ops, shard_results)
-    executors = [r for r in shard_results if r.merge_executor != "serial"]
-    merge_executor = (
-        executors[0].merge_executor if executors else shard_results[0].merge_executor
-    )
-    merge_workers = (
-        executors[0].merge_workers if executors else shard_results[0].merge_workers
-    )
-    utilizations = [r.merge_utilization for r in shard_results]
     return StrategyResult(
         strategy=label,
         n_tables=sum(r.n_tables for r in shard_results),
@@ -151,10 +143,7 @@ def combine_shard_results(
             r.strategy_overhead_seconds for r in shard_results
         ),
         wall_seconds=sum(r.wall_seconds for r in shard_results),
-        merge_executor=merge_executor,
-        merge_workers=merge_workers,
         merge_wall_seconds=sum(r.merge_wall_seconds for r in shard_results),
-        merge_utilization=sum(utilizations) / len(utilizations),
         reads=sum(r.reads for r in shard_results),
         scans=sum(r.scans for r in shard_results),
         read_hits=sum(r.read_hits for r in shard_results),

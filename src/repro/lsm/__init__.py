@@ -29,13 +29,6 @@ from .faults import (
 )
 from .format import FileWriteAheadLog
 from .metrics import AmplificationReport, measure_amplification
-from .pipeline import (
-    DurablePipelinedLSMEngine,
-    FlushPipeline,
-    PipelineMetrics,
-    PipelinedLSMEngine,
-    resolve_flush_workers,
-)
 from .memtable import (
     AppendLogMemtable,
     Memtable,
@@ -58,13 +51,11 @@ __all__ = [
     "DateTieredCompaction",
     "DiskTimingModel",
     "DurableLSMEngine",
-    "DurablePipelinedLSMEngine",
     "ENTRY_OVERHEAD_BYTES",
     "EngineConfig",
     "FaultInjectedFileSystem",
     "FaultPlan",
     "FileWriteAheadLog",
-    "FlushPipeline",
     "IoStats",
     "LSMEngine",
     "LeveledCompaction",
@@ -73,8 +64,6 @@ __all__ = [
     "MERGE_KERNELS",
     "MajorCompaction",
     "Memtable",
-    "PipelineMetrics",
-    "PipelinedLSMEngine",
     "ReadStats",
     "Record",
     "SSTable",
@@ -87,6 +76,5 @@ __all__ = [
     "make_memtable",
     "measure_amplification",
     "merge_sstables",
-    "resolve_flush_workers",
     "table_from_records",
 ]

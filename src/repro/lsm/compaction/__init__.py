@@ -9,16 +9,9 @@
 from .base import CompactionResult, CompactionStrategy
 from .controller import CompactionController, ControllerStats
 from .date_tiered import DateTieredCompaction
-from .executor import (
-    MERGE_EXECUTORS,
-    ExecutionBackend,
-    ExecutionResult,
-    execute_schedule,
-    make_execution_backend,
-)
+from .executor import ExecutionResult, execute_schedule
 from .leveled import LeveledCompaction
 from .major import MajorCompaction
-from .planner import SchedulePlan, plan_schedule
 from .size_tiered import SizeTieredCompaction
 
 __all__ = [
@@ -27,14 +20,9 @@ __all__ = [
     "CompactionStrategy",
     "ControllerStats",
     "DateTieredCompaction",
-    "ExecutionBackend",
     "ExecutionResult",
-    "MERGE_EXECUTORS",
     "execute_schedule",
-    "make_execution_backend",
     "LeveledCompaction",
     "MajorCompaction",
-    "SchedulePlan",
-    "plan_schedule",
     "SizeTieredCompaction",
 ]

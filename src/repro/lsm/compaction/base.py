@@ -37,14 +37,9 @@ class CompactionResult:
     simulated_seconds: float = 0.0
     wall_seconds: float = 0.0
     strategy_overhead_seconds: float = 0.0
-    # Real merge-execution backend accounting (see executor.py): which
-    # backend ran the merges, how many workers, the measured wall clock
-    # of the merge section alone, and the mean worker utilization.
-    # Strategies that never run a schedule keep the serial defaults.
-    merge_executor: str = "serial"
-    merge_workers: int = 1
+    # Measured wall clock of the merges alone (see executor.py); zero
+    # for strategies that never run a schedule.
     merge_wall_seconds: float = 0.0
-    merge_utilization: float = 0.0
     extras: dict = field(default_factory=dict)
 
     @property

@@ -50,55 +50,23 @@ class CompactionController:
         engine: LSMEngine,
         strategy_factory: Optional[Callable[[], CompactionStrategy]] = None,
         table_threshold: int = 8,
-        background: bool = False,
     ) -> None:
         if table_threshold < 2:
             raise ConfigError("table_threshold must be at least 2")
-        if background and not hasattr(engine, "compact_async"):
-            raise ConfigError(
-                "background=True needs an engine with compact_async "
-                "(e.g. PipelinedLSMEngine)"
-            )
         self.engine = engine
         self.strategy_factory = strategy_factory or _default_strategy
         self.table_threshold = table_threshold
-        self.background = background
         self.history: list[CompactionResult] = []
         self.stats = ControllerStats()
 
     def maybe_compact(self) -> Optional[CompactionResult]:
-        """Compact if the table count reached the threshold.
-
-        In background mode the compaction is *started* (on a snapshot of
-        the current tables; its strategy may fan merges over the
-        thread/process execution backends) and ingest continues; the
-        result lands in the history when :meth:`finish` or a later
-        trigger collects it, so this returns ``None`` for background
-        starts.
-        """
-        self._collect_background()
+        """Compact if the table count reached the threshold."""
         if self.engine.table_count < self.table_threshold:
-            return None
-        if self.background:
-            if not self.engine.compaction_in_flight:
-                self.engine.compact_async(self.strategy_factory())
             return None
         result = self.engine.compact(self.strategy_factory())
         self.history.append(result)
         self.stats.observe(result)
         return result
-
-    def _collect_background(self) -> None:
-        if self.background:
-            for result in self.engine.take_compaction_results():
-                self.history.append(result)
-                self.stats.observe(result)
-
-    def finish(self) -> None:
-        """Join any in-flight background compaction and collect its result."""
-        if self.background:
-            self.engine.wait_for_compaction()
-            self._collect_background()
 
     def apply(self, operation: Operation) -> object:
         """Apply one operation, then check the compaction trigger."""
@@ -107,8 +75,7 @@ class CompactionController:
         return outcome
 
     def run(self, operations: Iterable[Operation]) -> ControllerStats:
-        """Drive a whole operation stream with background compaction."""
+        """Drive a whole operation stream, compacting whenever triggered."""
         for operation in operations:
             self.apply(operation)
-        self.finish()
         return self.stats

@@ -15,67 +15,20 @@ simulated duration computed by list-scheduling the merge steps onto
 With ``lanes=1`` this degenerates to the serial sum (SI/SO execution);
 with ``lanes=c`` it models BALANCETREE's intra-level parallelism
 (Figure 7b).  Tombstones are dropped only at the final merge, where the
-output is bottommost by construction.
-
-Independently of the simulated lanes, the merges themselves can run on
-**real workers**: ``executor`` selects an :class:`ExecutionBackend` —
-
-* ``"serial"`` — the reference loop, one merge at a time in schedule
-  order.  The differential baseline every other backend must match
-  byte for byte.
-* ``"thread"`` — a thread pool driven by the ready-set DAG
-  (:mod:`~repro.lsm.compaction.planner`).  Worth real wall-clock
-  speedup when the merges run the columnar kernel, whose numpy
-  sort/concatenate kernels release the GIL; on the pure-python heap
-  kernel threads are correct but GIL-bound.
-* ``"process"`` — a process pool.  Inputs travel as int64 column
-  arrays, the worker runs the columnar merge, and the parent
-  rehydrates outputs via :meth:`~repro.lsm.sstable.SSTable.from_columns`
-  (sketch propagation stays on the parent).  Requires numpy and
-  columnar-eligible tables.
-
-All backends produce bit-identical output tables, cost metrics and
-simulated durations for any worker count; only the measured wall clock
-(``merge_wall_seconds``, ``worker_utilization``) differs.  See
-``docs/concurrency.md``.
+output is bottommost by construction.  The merges themselves run one at
+a time in schedule order; the lanes are simulated, not real workers.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from abc import ABC, abstractmethod
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from ...core.schedule import MergeSchedule
 from ...errors import CompactionError
 from ..disk import SimulatedDisk
 from ..sstable import SSTable, merge_sstables
-from .planner import SchedulePlan, plan_schedule
-
-try:  # optional: only the process backend needs numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
-
-#: ``execute_schedule`` backend names.
-MERGE_EXECUTORS = ("serial", "thread", "process")
-
-
-def resolve_merge_workers(workers: Optional[int]) -> int:
-    """Normalize a worker-count setting (``None``/``0`` = one per CPU)."""
-    if workers is None or workers == 0:
-        return max(1, os.cpu_count() or 1)
-    if workers < 0:
-        raise CompactionError(f"merge workers must be >= 0, got {workers}")
-    return workers
 
 
 def _propagate_sketches(
@@ -125,291 +78,11 @@ class ExecutionResult:
     io_seconds: float
     simulated_seconds: float
     wall_seconds: float
-    #: Which backend ran the merges, and on how many real workers.
-    merge_executor: str = "serial"
-    merge_workers: int = 1
-    #: Measured wall clock of the merge-execution section alone (the
-    #: simulated-disk makespan is ``simulated_seconds``).
+    #: Measured wall clock of the merges alone (the simulated-disk
+    #: makespan is ``simulated_seconds``).
     merge_wall_seconds: float = 0.0
-    #: Summed in-merge worker time; ``worker_utilization`` derives from it.
-    worker_busy_seconds: float = 0.0
-
-    @property
-    def worker_utilization(self) -> float:
-        """Mean fraction of the merge wall clock each worker spent merging."""
-        denominator = self.merge_workers * self.merge_wall_seconds
-        return self.worker_busy_seconds / denominator if denominator else 0.0
 
 
-# ----------------------------------------------------------------------
-# Execution backends
-# ----------------------------------------------------------------------
-def _merge_step(
-    inputs: Sequence[SSTable],
-    new_table_id: int,
-    drop_tombstones: bool,
-    bloom_fp_rate: float,
-    kernel: str,
-) -> tuple[SSTable, float]:
-    """One timed merge (serial loop and thread workers)."""
-    started = time.perf_counter()
-    output = merge_sstables(
-        inputs,
-        new_table_id=new_table_id,
-        drop_tombstones=drop_tombstones,
-        bloom_fp_rate=bloom_fp_rate,
-        kernel=kernel,
-    )
-    return output, time.perf_counter() - started
-
-
-def _process_merge_step(
-    columns: Sequence[tuple],
-    drop_tombstones: bool,
-    bloom_fp_rate: float,
-) -> tuple[tuple, float]:
-    """One timed columnar merge in a worker process.
-
-    Inputs and output travel as plain ``(keys, seqnos, value_sizes,
-    tombstones)`` array tuples — no bloom filters, sparse indexes or
-    sketches cross the process boundary (they are all built lazily, and
-    sketch propagation happens on the parent).
-    """
-    from ..sstable import TableColumns, _merge_columnar
-
-    started = time.perf_counter()
-    views = [
-        TableColumns(
-            _np.asarray(keys), _np.asarray(seqnos), _np.asarray(values),
-            None if tombstones is None else _np.asarray(tombstones),
-        )
-        for keys, seqnos, values, tombstones in columns
-    ]
-    # Table id 0 is a placeholder: the parent renumbers on rehydration.
-    merged = _merge_columnar(views, 0, drop_tombstones, bloom_fp_rate)
-    out = merged._columns
-    return (
-        (out.keys, out.seqnos, out.value_sizes, out.tombstones),
-        time.perf_counter() - started,
-    )
-
-
-class ExecutionBackend(ABC):
-    """Runs every merge step of a plan; returns outputs by step index.
-
-    Implementations must be *pure* with respect to the schedule: the
-    output table of step ``j`` (id, columns, records) may depend only on
-    the step's inputs, never on scheduling order — that is what keeps
-    every backend byte-identical to the serial reference.
-    """
-
-    name: str = "abstract"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        self.workers = resolve_merge_workers(workers)
-
-    @abstractmethod
-    def run(
-        self,
-        tables: Sequence[SSTable],
-        plan: SchedulePlan,
-        next_table_id: int,
-        drop_tombstones: bool,
-        bloom_fp_rate: float,
-        merge_kernel: str,
-    ) -> tuple[list[SSTable], float]:
-        """Execute all steps; return ``(outputs, worker_busy_seconds)``."""
-
-
-class SerialBackend(ExecutionBackend):
-    """The reference loop: merges in schedule order, one at a time."""
-
-    name = "serial"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        super().__init__(1 if workers in (None, 0) else workers)
-
-    def run(self, tables, plan, next_table_id, drop_tombstones,
-            bloom_fp_rate, merge_kernel):
-        live: dict[int, SSTable] = dict(enumerate(tables))
-        outputs: list[SSTable] = []
-        busy = 0.0
-        final_index = plan.n_steps - 1
-        for index, step in enumerate(plan.steps):
-            inputs = [live[table_id] for table_id in step.inputs]
-            output, seconds = _merge_step(
-                inputs,
-                next_table_id + index,
-                drop_tombstones and index == final_index,
-                bloom_fp_rate,
-                merge_kernel,
-            )
-            live[step.output] = output
-            outputs.append(output)
-            busy += seconds
-        return outputs, busy
-
-
-class _PoolBackend(ExecutionBackend):
-    """Shared DAG pump: submit ready steps, release dependents as they land."""
-
-    def run(self, tables, plan, next_table_id, drop_tombstones,
-            bloom_fp_rate, merge_kernel):
-        handles = self._prepare(tables, merge_kernel)
-        raw_outputs: list = [None] * plan.n_steps
-        pending = [len(deps) for deps in plan.dependencies]
-        busy = 0.0
-        final_index = plan.n_steps - 1
-        with self._make_pool() as pool:
-            futures: dict = {}
-
-            def submit(index: int) -> None:
-                step = plan.steps[index]
-                futures[
-                    self._submit(
-                        pool,
-                        [handles[table_id] for table_id in step.inputs],
-                        next_table_id + index,
-                        drop_tombstones and index == final_index,
-                        bloom_fp_rate,
-                        merge_kernel,
-                    )
-                ] = index
-
-            for index in plan.ready_steps():
-                submit(index)
-            while futures:
-                done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = futures.pop(future)
-                    output, seconds = future.result()
-                    raw_outputs[index] = output
-                    busy += seconds
-                    handles[plan.steps[index].output] = output
-                    for dependent in plan.dependents[index]:
-                        pending[dependent] -= 1
-                        if pending[dependent] == 0:
-                            submit(dependent)
-        return (
-            self._materialize(raw_outputs, next_table_id, bloom_fp_rate),
-            busy,
-        )
-
-    # -- hooks ---------------------------------------------------------
-    def _prepare(self, tables, merge_kernel) -> dict:
-        return dict(enumerate(tables))
-
-    @abstractmethod
-    def _make_pool(self):
-        ...
-
-    @abstractmethod
-    def _submit(self, pool, inputs, new_table_id, dropping, bloom_fp_rate,
-                merge_kernel):
-        ...
-
-    def _materialize(self, raw_outputs, next_table_id, bloom_fp_rate):
-        return raw_outputs
-
-
-class ThreadBackend(_PoolBackend):
-    """Workers call :func:`merge_sstables` directly.
-
-    The columnar kernel spends its time in numpy sort/concatenate
-    kernels that release the GIL, so independent merges genuinely
-    overlap; the heap kernel stays correct but serializes on the GIL.
-    """
-
-    name = "thread"
-
-    def _make_pool(self):
-        return ThreadPoolExecutor(max_workers=self.workers)
-
-    def _submit(self, pool, inputs, new_table_id, dropping, bloom_fp_rate,
-                merge_kernel):
-        return pool.submit(
-            _merge_step, inputs, new_table_id, dropping, bloom_fp_rate,
-            merge_kernel,
-        )
-
-
-class ProcessBackend(_PoolBackend):
-    """Columnar merges in worker processes, columns shipped both ways."""
-
-    name = "process"
-
-    def _prepare(self, tables, merge_kernel) -> dict:
-        if _np is None:
-            raise CompactionError(
-                "the process merge executor requires numpy "
-                "(use 'thread' or 'serial')"
-            )
-        if merge_kernel == "heap":
-            raise CompactionError(
-                "the process merge executor ships int64 columns and always "
-                "runs the columnar kernel; it cannot honor merge_kernel="
-                "'heap' (use the 'thread' or 'serial' executor instead)"
-            )
-        handles = {}
-        for table_id, table in enumerate(tables):
-            columns = table.columns()
-            if columns is None:
-                raise CompactionError(
-                    f"table {table.table_id} has no int64 column view; the "
-                    "process merge executor needs columnar-eligible tables "
-                    "(use 'thread' or 'serial')"
-                )
-            handles[table_id] = (
-                columns.keys, columns.seqnos, columns.value_sizes,
-                columns.tombstones,
-            )
-        return handles
-
-    def _make_pool(self):
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-    def _submit(self, pool, inputs, new_table_id, dropping, bloom_fp_rate,
-                merge_kernel):
-        return pool.submit(
-            _process_merge_step, inputs, dropping, bloom_fp_rate
-        )
-
-    def _materialize(self, raw_outputs, next_table_id, bloom_fp_rate):
-        return [
-            SSTable.from_columns(
-                next_table_id + index, keys, seqnos, values, tombstones,
-                bloom_fp_rate=bloom_fp_rate,
-            )
-            for index, (keys, seqnos, values, tombstones) in enumerate(
-                raw_outputs
-            )
-        ]
-
-
-_BACKENDS: dict[str, Callable[[Optional[int]], ExecutionBackend]] = {
-    "serial": SerialBackend,
-    "thread": ThreadBackend,
-    "process": ProcessBackend,
-}
-
-
-def make_execution_backend(
-    executor: str, workers: Optional[int] = None
-) -> ExecutionBackend:
-    """Instantiate a merge-execution backend by name."""
-    try:
-        factory = _BACKENDS[executor]
-    except KeyError:
-        raise CompactionError(
-            f"unknown merge executor {executor!r}; "
-            f"available: {MERGE_EXECUTORS}"
-        ) from None
-    return factory(workers)
-
-
-# ----------------------------------------------------------------------
-# Schedule execution
-# ----------------------------------------------------------------------
 def execute_schedule(
     tables: Sequence[SSTable],
     schedule: MergeSchedule,
@@ -419,43 +92,30 @@ def execute_schedule(
     drop_tombstones: bool = True,
     bloom_fp_rate: float = 0.01,
     merge_kernel: str = "auto",
-    executor: str = "serial",
-    workers: Optional[int] = None,
 ) -> ExecutionResult:
     """Execute every merge step; see module docstring for the time model.
 
     ``merge_kernel`` is forwarded to every
     :func:`~repro.lsm.sstable.merge_sstables` call (``"auto"`` /
     ``"columnar"`` / ``"heap"``; the kernels are bit-identical).
-    ``executor``/``workers`` select the real execution backend; all
-    backends return byte-identical tables and metrics, so the default
-    ``"serial"`` stays the differential baseline.
     """
     if lanes < 1:
         raise CompactionError(f"lanes must be >= 1, got {lanes}")
-    if schedule.n_initial != len(tables):
+    n_initial = schedule.n_initial
+    if n_initial != len(tables):
         raise CompactionError(
-            f"schedule expects {schedule.n_initial} tables, got {len(tables)}"
+            f"schedule expects {n_initial} tables, got {len(tables)}"
         )
+    for index, step in enumerate(schedule.steps):
+        for table_id in step.inputs:
+            # The output of step j has id n_initial + j.
+            if table_id >= n_initial + index:
+                raise CompactionError(
+                    f"step #{index} reads table {table_id}, which no "
+                    f"earlier step produces"
+                )
     started_wall = time.perf_counter()
 
-    # --- real merge execution -----------------------------------------
-    plan = plan_schedule(schedule)
-    backend = make_execution_backend(executor, workers)
-    if plan.n_steps:
-        merge_started = time.perf_counter()
-        outputs, busy_seconds = backend.run(
-            tables, plan, next_table_id, drop_tombstones, bloom_fp_rate,
-            merge_kernel,
-        )
-        merge_wall = time.perf_counter() - merge_started
-    else:  # single-table schedule: nothing to merge
-        outputs, busy_seconds, merge_wall = [], 0.0, 0.0
-
-    # --- deterministic accounting, in schedule order ------------------
-    # Identical for every backend: costs, bytes and the simulated lane
-    # model depend only on the step list and the (deterministic) merge
-    # outputs, never on real scheduling order.
     live: dict[int, SSTable] = dict(enumerate(tables))
     ready_at: dict[int, float] = {table_id: 0.0 for table_id in live}
     lane_free = [0.0] * lanes
@@ -465,12 +125,21 @@ def execute_schedule(
     bytes_read = 0
     bytes_written = 0
     io_seconds = 0.0
-    final_step_index = plan.n_steps - 1
+    merge_wall = 0.0
+    final_step_index = len(schedule.steps) - 1
 
-    for index, step in enumerate(plan.steps):
+    for index, step in enumerate(schedule.steps):
         inputs = [live.pop(table_id) for table_id in step.inputs]
-        output = outputs[index]
         dropping = drop_tombstones and index == final_step_index
+        merge_started = time.perf_counter()
+        output = merge_sstables(
+            inputs,
+            new_table_id=next_table_id + index,
+            drop_tombstones=dropping,
+            bloom_fp_rate=bloom_fp_rate,
+            kernel=merge_kernel,
+        )
+        merge_wall += time.perf_counter() - merge_started
         live[step.output] = output
         # Sketch persistence: adopt the lossless union sketch, or — when
         # tombstone GC could have dropped keys — rebuild from the
@@ -507,7 +176,7 @@ def execute_schedule(
     (final_id, final_table), = live.items()
     return ExecutionResult(
         output_table=final_table,
-        n_merges=plan.n_steps,
+        n_merges=len(schedule.steps),
         cost_actual_entries=cost_actual,
         cost_simplified_entries=cost_simplified,
         bytes_read=bytes_read,
@@ -515,8 +184,5 @@ def execute_schedule(
         io_seconds=io_seconds,
         simulated_seconds=ready_at.get(final_id, 0.0),
         wall_seconds=time.perf_counter() - started_wall,
-        merge_executor=backend.name,
-        merge_workers=backend.workers,
         merge_wall_seconds=merge_wall,
-        worker_busy_seconds=busy_seconds,
     )

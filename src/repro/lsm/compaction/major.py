@@ -68,8 +68,6 @@ class MajorCompaction(CompactionStrategy):
         backend: str = "frozenset",
         estimator: "EstimatorSpec" = None,
         merge_kernel: str = "auto",
-        merge_executor: str = "serial",
-        merge_workers: Optional[int] = None,
         **policy_kwargs,
     ) -> None:
         self.policy_name = canonical_policy_name(policy)
@@ -89,8 +87,6 @@ class MajorCompaction(CompactionStrategy):
         self.drop_tombstones = drop_tombstones
         self.bloom_fp_rate = bloom_fp_rate
         self.merge_kernel = merge_kernel
-        self.merge_executor = merge_executor
-        self.merge_workers = merge_workers
         self.policy_kwargs = policy_kwargs
         self.name = f"major({self.policy_name}, k={k})"
 
@@ -173,8 +169,6 @@ class MajorCompaction(CompactionStrategy):
             drop_tombstones=self.drop_tombstones,
             bloom_fp_rate=self.bloom_fp_rate,
             merge_kernel=self.merge_kernel,
-            executor=self.merge_executor,
-            workers=self.merge_workers,
         )
         return CompactionResult(
             strategy_name=self.name,
@@ -190,10 +184,7 @@ class MajorCompaction(CompactionStrategy):
             simulated_seconds=execution.simulated_seconds,
             wall_seconds=execution.wall_seconds + overhead_seconds,
             strategy_overhead_seconds=overhead_seconds,
-            merge_executor=execution.merge_executor,
-            merge_workers=execution.merge_workers,
             merge_wall_seconds=execution.merge_wall_seconds,
-            merge_utilization=execution.worker_utilization,
             extras={
                 "policy_extras": greedy.extras,
                 "lanes": self.lanes,

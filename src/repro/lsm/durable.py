@@ -68,13 +68,9 @@ class DurableLSMEngine(LSMEngine):
         #: the manifest records, and the replay cutoff after a crash.
         self._durable_seqno = 0
         if self.config.use_wal:
-            self.wal = self._make_wal()
-
-    def _make_wal(self) -> FileWriteAheadLog:
-        """Open the active write-ahead log (subclass hook: segmented WALs)."""
-        return FileWriteAheadLog(
-            self._fs, disk=self.disk, sync_every=self._wal_sync_every
-        )
+            self.wal = FileWriteAheadLog(
+                fs, disk=self.disk, sync_every=wal_sync_every
+            )
 
     # ------------------------------------------------------------------
     # Recovery
@@ -88,11 +84,27 @@ class DurableLSMEngine(LSMEngine):
         disk: Optional[SimulatedDisk] = None,
         wal_sync_every: int = 1,
     ) -> "DurableLSMEngine":
-        """Open a store directory, rebuilding pre-crash state from files."""
+        """Open a store directory, rebuilding pre-crash state from files.
+
+        Raises :class:`~repro.errors.CorruptionError`, touching no file,
+        when the store holds ``wal-NNNNNN.log`` segments: earlier
+        versions' pipelined engine logged acknowledged writes there, and
+        this engine replays only ``wal.log``, so opening would lose them.
+        """
         if fs is None:
             if directory is None:
                 raise StorageError("open() needs a directory or a filesystem")
             fs = LocalFileSystem(directory)
+        segments = sorted(
+            name
+            for name in fs.listdir()
+            if name.startswith("wal-") and name.endswith(".log")
+        )
+        if segments:
+            raise CorruptionError(
+                f"store holds WAL segments {segments} that this engine "
+                "cannot replay; opening it would drop the writes they log"
+            )
         engine = cls(
             config, fs=fs, disk=disk, wal_sync_every=wal_sync_every
         )
@@ -136,7 +148,11 @@ class DurableLSMEngine(LSMEngine):
         self._seqno = state.last_seqno
         if not self.config.use_wal:
             return
-        survivors = self._wal_survivor_records()
+        survivors = [
+            record
+            for record in self.wal.replay()
+            if record.seqno > state.last_seqno
+        ]
         self._recovering = True
         try:
             for record in survivors:
@@ -150,19 +166,6 @@ class DurableLSMEngine(LSMEngine):
                 self._seqno = max(self._seqno, record.seqno)
         finally:
             self._recovering = False
-
-    def _wal_survivor_records(self):
-        """Durable WAL records newer than the manifest's replay cutoff.
-
-        Subclass hook: the pipelined durable engine replays every
-        remaining WAL segment (oldest first), not just the single active
-        log.
-        """
-        return [
-            record
-            for record in self.wal.replay()
-            if record.seqno > self._durable_seqno
-        ]
 
     # ------------------------------------------------------------------
     # Durable write path

@@ -192,35 +192,10 @@ class LSMEngine:
     # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
-    def _memtable_lookup(self, key: Hashable) -> Optional[Record]:
-        """Newest in-memory record for ``key`` (memtable tier only).
-
-        Subclasses with more than one in-memory source (the pipelined
-        engine's immutable queue) override this to search them
-        newest-first; a hit counts as a memtable hit either way.
-        """
-        return self.memtable.get(key)
-
-    def _memtable_tails(self, start_key: Hashable) -> list[list[Record]]:
-        """In-memory scan sources, oldest source first.
-
-        Each element is one source's records with key >= ``start_key``.
-        Memtable records are never charged to the disk; the pipelined
-        engine appends one tail per immutable memtable before the active
-        one so seqno resolution sees every in-flight version.
-        """
-        return [
-            [
-                record
-                for record in self.memtable.pending_records()
-                if record.key >= start_key
-            ]
-        ]
-
     def get(self, key: Hashable) -> Optional[Record]:
         """Newest live record for ``key``, or ``None`` (absent/deleted)."""
         self.read_stats.reads += 1
-        record = self._memtable_lookup(key)
+        record = self.memtable.get(key)
         if record is not None:
             self.read_stats.memtable_hits += 1
             return self._resolve(record)
@@ -271,8 +246,14 @@ class LSMEngine:
                 continue
             stats.scan_tables_probed += 1
             tails.append(table.scan(start_key, table.entry_count))
-        n_table_tails = len(tails)
-        tails.extend(self._memtable_tails(start_key))
+        tails.append(
+            [
+                record
+                for record in self.memtable.pending_records()
+                if record.key >= start_key
+            ]
+        )
+        mem_index = len(tails) - 1
         positions = [0] * len(tails)
         live: list[Record] = []
         while len(live) < length:
@@ -291,7 +272,7 @@ class LSMEngine:
                     continue
                 record = tail[position]
                 positions[index] = position + 1
-                if index < n_table_tails:
+                if index != mem_index:
                     self.disk.read(record.size_bytes)
                     stats.read_bytes += record.size_bytes
                     stats.scan_records_scanned += 1
@@ -345,14 +326,6 @@ class LSMEngine:
     # ------------------------------------------------------------------
     # Crash recovery
     # ------------------------------------------------------------------
-    def _wal_survivors(self) -> list[Record]:
-        """Every durable-but-unflushed record, oldest first.
-
-        The pipelined engine overrides this to concatenate the frozen
-        memtables' WAL segments (freeze order) before the active log.
-        """
-        return self.wal.replay() if self.config.use_wal else []
-
     def simulate_crash_and_recover(
         self, config: Optional[EngineConfig] = None
     ) -> "LSMEngine":
@@ -374,7 +347,7 @@ class LSMEngine:
             (record.seqno for table in self.sstables for record in table.records),
             default=0,
         )
-        survivors = self._wal_survivors()
+        survivors = self.wal.replay() if self.config.use_wal else []
         max_wal_seqno = max((record.seqno for record in survivors), default=0)
         recovered._seqno = max(max_disk_seqno, max_wal_seqno)
         # Survivors re-enter the new WAL via restore(): they are already

@@ -104,21 +104,10 @@ def render_comparison_table(
         or comparison.per_strategy[label].scans_mean
         for label in labels
     )
-    # Merge-execution columns appear only when a non-serial backend ran,
-    # so historical (serial) reports stay byte-identical.
-    parallel = any(
-        comparison.per_strategy[label].merge_executor != "serial"
-        for label in labels
-    )
     # Cluster columns appear only for sharded runs (num_shards > 1), so
     # unsharded reports stay byte-identical.
     sharded = any(
         comparison.per_strategy[label].num_shards > 1 for label in labels
-    )
-    # Ingest columns appear only when the concurrent write pipeline ran,
-    # so serial reports stay byte-identical.
-    pipelined = any(
-        comparison.per_strategy[label].write_pipeline for label in labels
     )
     headers = [
         "strategy",
@@ -128,12 +117,8 @@ def render_comparison_table(
         "sim seconds",
         "overhead s",
     ]
-    if parallel:
-        headers += ["merge wall s", "workers", "util%"]
     if sharded:
         headers += ["shards", "makespan s", "imbalance"]
-    if pipelined:
-        headers += ["ingest s", "stalls", "overlap%"]
     if served:
         headers += ["read amp", "bloom FP%", "read MB"]
     rows = []
@@ -147,23 +132,11 @@ def render_comparison_table(
             agg.simulated_seconds_mean + agg.strategy_overhead_mean,
             agg.strategy_overhead_mean,
         ]
-        if parallel:
-            row += [
-                agg.merge_wall_seconds_mean,
-                f"{agg.merge_executor} x{agg.merge_workers}",
-                agg.merge_utilization_mean * 100.0,
-            ]
         if sharded:
             row += [
                 agg.num_shards,
                 agg.cluster_makespan_mean,
                 agg.shard_imbalance_mean,
-            ]
-        if pipelined:
-            row += [
-                agg.ingest_wall_seconds_mean,
-                agg.write_stall_count_mean,
-                agg.flush_overlap_fraction_mean * 100.0,
             ]
         if served:
             row += [
@@ -237,12 +210,7 @@ def _cell_metrics(agg: AggregateResult) -> dict[str, Any]:
         "simulated_seconds_std": agg.simulated_seconds_std,
         "strategy_overhead_mean": agg.strategy_overhead_mean,
         "wall_seconds_mean": agg.wall_seconds_mean,
-        # Real merge-execution accounting (additive keys; serial
-        # defaults for strategies that never ran a parallel backend).
-        "merge_executor": agg.merge_executor,
-        "merge_workers": agg.merge_workers,
         "merge_wall_seconds_mean": agg.merge_wall_seconds_mean,
-        "merge_utilization_mean": agg.merge_utilization_mean,
         # Serving-phase read metrics (additive keys; all zero for
         # write-only mixes — see store.py's schema policy).
         "reads_mean": agg.reads_mean,
@@ -259,12 +227,7 @@ def _cell_metrics(agg: AggregateResult) -> dict[str, Any]:
         "shard_ops_mean": list(agg.shard_ops_mean),
         "shard_costs_mean": list(agg.shard_costs_mean),
         "shard_read_amps_mean": list(agg.shard_read_amps_mean),
-        # Phase-1 ingest accounting (additive keys; serial defaults for
-        # runs without the concurrent write pipeline).
-        "write_pipeline": agg.write_pipeline,
         "ingest_wall_seconds_mean": agg.ingest_wall_seconds_mean,
-        "write_stall_count_mean": agg.write_stall_count_mean,
-        "flush_overlap_fraction_mean": agg.flush_overlap_fraction_mean,
     }
 
 

@@ -23,6 +23,7 @@ compatible, and the loader does not validate cell contents.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -36,6 +37,26 @@ from ..errors import ResultsStoreError
 SCHEMA_VERSION = 1
 
 DEFAULT_STORE_ROOT = Path("results") / "runs"
+
+
+def write_text_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` so readers see the old file or the new.
+
+    Writes ``<name>.tmp`` (which no ``*.json`` glob matches), fsyncs it,
+    then renames it over ``path`` — the write-temp-then-rename commit of
+    ``lsm/format/manifest.py``.  A failure before the rename removes the
+    temp file and leaves ``path`` as it was.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def git_describe() -> Optional[str]:
@@ -133,7 +154,9 @@ class ResultsStore:
             suffix += 1
         document = manifest.to_dict()
         document["run_id"] = run_id
-        path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        write_text_atomic(
+            path, json.dumps(document, indent=2, sort_keys=True) + "\n"
+        )
         return path
 
     # ------------------------------------------------------------------

@@ -22,6 +22,17 @@ from ..lsm.disk import (
 from ..ycsb.workload import WorkloadConfig
 
 
+#: Fields of removed features: name -> (the only value still accepted by
+#: :meth:`SimulationConfig.from_dict`, the feature it used to select).
+RETIRED_FIELDS: dict[str, tuple[Any, str]] = {
+    "merge_executor": ("serial", "thread/process merge executor"),
+    "merge_workers": (0, "thread/process merge executor"),
+    "write_pipeline": (False, "concurrent write pipeline"),
+    "max_immutable_memtables": (2, "concurrent write pipeline"),
+    "flush_workers": (0, "concurrent write pipeline"),
+}
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Parameters of one simulator run."""
@@ -69,15 +80,6 @@ class SimulationConfig:
     # exceptional ineligible shapes), "reference" forces the
     # operation-at-a-time engine loop and the heap merge kernel.
     data_plane: str = "auto"
-    # Real merge-execution backend for phase-2 schedules: "serial" (the
-    # reference loop — the default, so all goldens stay byte-identical),
-    # "thread" (workers drive the GIL-releasing columnar kernel) or
-    # "process" (columns shipped to a process pool).  Outputs and cost
-    # metrics are byte-identical for every backend and worker count;
-    # only measured wall clock differs (see docs/concurrency.md).
-    merge_executor: str = "serial"
-    # Real workers for the thread/process executors; 0 = one per CPU.
-    merge_workers: int = 0
     # Phase-1 sstable storage: "memory" (the default — tables live as
     # Python objects, all goldens byte-identical) or "disk" (every
     # flushed table is spilled through the on-disk sstable format and
@@ -93,17 +95,6 @@ class SimulationConfig:
     num_shards: int = 1
     shard_skew: float = 0.0
     partitioner: str = "hash"
-    # Concurrent write pipeline (see docs/concurrency.md, part 2).
-    # ``write_pipeline=True`` runs phase-1 ingest through the freeze/
-    # immutable-queue/background-flush pipeline: flush slabs build on
-    # ``flush_workers`` threads (0 = one per CPU) while ingest proceeds,
-    # bounded by ``max_immutable_memtables`` in-flight flushes
-    # (backpressure stalls are counted).  Tables are byte-identical to
-    # the serial path for any worker count; the default stays serial so
-    # every golden is unchanged.
-    write_pipeline: bool = False
-    max_immutable_memtables: int = 2
-    flush_workers: int = 0
     # Group-commit knob of the file WAL used by ``storage="disk"`` runs:
     # sync after every Nth framed append (1 = sync each record).
     wal_sync_every: int = 1
@@ -139,18 +130,6 @@ class SimulationConfig:
         if self.storage not in ("memory", "disk"):
             raise ConfigError(
                 f"storage must be 'memory' or 'disk', got {self.storage!r}"
-            )
-        from ..lsm.compaction.executor import MERGE_EXECUTORS
-
-        if self.merge_executor not in MERGE_EXECUTORS:
-            raise ConfigError(
-                f"merge_executor must be one of {MERGE_EXECUTORS}, "
-                f"got {self.merge_executor!r}"
-            )
-        if self.merge_workers < 0:
-            raise ConfigError(
-                f"merge_workers must be >= 0 (0 = one per CPU), "
-                f"got {self.merge_workers}"
             )
         if self.memtable_mode not in ("append", "map"):
             raise ConfigError(
@@ -191,18 +170,6 @@ class SimulationConfig:
         if not self.shard_skew >= 0.0:
             raise ConfigError(
                 f"shard_skew must be >= 0, got {self.shard_skew!r}"
-            )
-        # Accept truthy ints from --set write_pipeline=1 and JSON specs.
-        object.__setattr__(self, "write_pipeline", bool(self.write_pipeline))
-        if self.max_immutable_memtables < 1:
-            raise ConfigError(
-                f"max_immutable_memtables must be at least 1, "
-                f"got {self.max_immutable_memtables}"
-            )
-        if self.flush_workers < 0:
-            raise ConfigError(
-                f"flush_workers must be >= 0 (0 = one per CPU), "
-                f"got {self.flush_workers}"
             )
         if self.wal_sync_every < 1:
             raise ConfigError(
@@ -270,11 +237,24 @@ class SimulationConfig:
         Unknown keys raise :class:`~repro.errors.ConfigError` so a typo
         in a JSON spec fails loudly instead of silently using a default;
         omitted keys take the field defaults, which lets specs stay
-        minimal.
+        minimal.  Keys of removed features (:data:`RETIRED_FIELDS`) are
+        dropped when they carry the value every run had while the
+        feature was off, so older specs and manifests still load; any
+        other value names the removed feature in the error.
         """
+        data = dict(data)
+        for name, (default, feature) in RETIRED_FIELDS.items():
+            if name not in data:
+                continue
+            value = data.pop(name)
+            if value != default:
+                raise ConfigError(
+                    f"{name}={value!r} selects the {feature}, which was "
+                    f"removed; only {name}={default!r} is accepted"
+                )
         cls._reject_unknown_fields(data)
         try:
-            return cls(**dict(data))
+            return cls(**data)
         except TypeError as exc:
             raise ConfigError(f"invalid SimulationConfig value: {exc}") from None
 
@@ -311,18 +291,10 @@ class SimulationConfig:
             parts.append(f"data_plane={self.data_plane}")
         if self.storage != "memory":
             parts.append(f"storage={self.storage}")
-        if self.merge_executor != "serial":
-            workers = self.merge_workers or "auto"
-            parts.append(f"merge={self.merge_executor}x{workers}")
         if self.num_shards > 1:
             parts.append(f"shards={self.num_shards}x{self.partitioner}")
             if self.shard_skew:
                 parts.append(f"shard_skew={self.shard_skew:g}")
-        if self.write_pipeline:
-            workers = self.flush_workers or "auto"
-            parts.append(
-                f"pipeline=imm{self.max_immutable_memtables}x{workers}"
-            )
         if self.wal_sync_every != 1:
             parts.append(f"wal_sync_every={self.wal_sync_every}")
         return " ".join(parts)

@@ -23,12 +23,9 @@ class StrategyResult:
     simulated_seconds: float
     strategy_overhead_seconds: float
     wall_seconds: float
-    # Real merge-execution accounting (serial defaults for strategies
-    # that never ran a parallel backend; see lsm/compaction/executor.py).
-    merge_executor: str = "serial"
-    merge_workers: int = 1
+    # Measured wall clock of the merges alone (see
+    # lsm/compaction/executor.py).
     merge_wall_seconds: float = 0.0
-    merge_utilization: float = 0.0
     # Serving-phase read metrics (zero when the mix has no reads/scans
     # or the serving phase did not run; see simulator/read_path.py).
     reads: int = 0
@@ -52,14 +49,9 @@ class StrategyResult:
     shard_ops: tuple[int, ...] = ()
     shard_costs: tuple[int, ...] = ()
     shard_read_amps: tuple[float, ...] = ()
-    # Phase-1 ingest accounting (the concurrent write pipeline; all
-    # defaults for historical results).  ``ingest_wall_seconds`` is
-    # measured for serial ingest too so serial-vs-pipelined comparisons
-    # read straight off the report; stalls/overlap are pipeline-only.
-    write_pipeline: bool = False
+    # Measured wall clock of phase-1 table generation (shared by every
+    # strategy of one run).
     ingest_wall_seconds: float = 0.0
-    write_stall_count: int = 0
-    flush_overlap_fraction: float = 0.0
 
     @property
     def bytes_total(self) -> int:
@@ -104,13 +96,7 @@ class AggregateResult:
     wall_seconds_mean: float
     strategy_overhead_mean: float
     lopt_entries_mean: float
-    # Real merge-execution accounting: the backend/worker settings are
-    # constant across runs of one config; wall clock and utilization are
-    # averaged like the other measured times.
-    merge_executor: str = "serial"
-    merge_workers: int = 1
     merge_wall_seconds_mean: float = 0.0
-    merge_utilization_mean: float = 0.0
     # Serving-phase read metrics, averaged over runs (all zero for
     # write-only mixes so historical reports are unchanged).
     reads_mean: float = 0.0
@@ -128,13 +114,7 @@ class AggregateResult:
     shard_ops_mean: tuple[float, ...] = ()
     shard_costs_mean: tuple[float, ...] = ()
     shard_read_amps_mean: tuple[float, ...] = ()
-    # Phase-1 ingest accounting: the pipeline flag is constant across
-    # runs of one config; wall/stalls/overlap average like other
-    # measured times.
-    write_pipeline: bool = False
     ingest_wall_seconds_mean: float = 0.0
-    write_stall_count_mean: float = 0.0
-    flush_overlap_fraction_mean: float = 0.0
 
     @property
     def cost_over_lopt(self) -> float:
@@ -192,13 +172,8 @@ def aggregate(results: Sequence[StrategyResult]) -> AggregateResult:
         lopt_entries_mean=statistics.mean(
             [result.lopt_entries for result in results]
         ),
-        merge_executor=results[0].merge_executor,
-        merge_workers=results[0].merge_workers,
         merge_wall_seconds_mean=statistics.mean(
             [result.merge_wall_seconds for result in results]
-        ),
-        merge_utilization_mean=statistics.mean(
-            [result.merge_utilization for result in results]
         ),
         reads_mean=statistics.mean([result.reads for result in results]),
         scans_mean=statistics.mean([result.scans for result in results]),
@@ -230,15 +205,8 @@ def aggregate(results: Sequence[StrategyResult]) -> AggregateResult:
         shard_read_amps_mean=_elementwise_mean(
             [result.shard_read_amps for result in results]
         ),
-        write_pipeline=results[0].write_pipeline,
         ingest_wall_seconds_mean=statistics.mean(
             [result.ingest_wall_seconds for result in results]
-        ),
-        write_stall_count_mean=statistics.mean(
-            [result.write_stall_count for result in results]
-        ),
-        flush_overlap_fraction_mean=statistics.mean(
-            [result.flush_overlap_fraction for result in results]
         ),
     )
 

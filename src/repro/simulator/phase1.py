@@ -49,7 +49,6 @@ from ..errors import ConfigError
 from ..lsm.disk import SimulatedDisk
 from ..lsm.engine import EngineConfig, LSMEngine
 from ..lsm.memtable import distinct_capacity_boundaries, make_memtable
-from ..lsm.pipeline import FlushPipeline, PipelinedLSMEngine, resolve_flush_workers
 from ..lsm.record import Record
 from ..lsm.sstable import SSTable
 from ..ycsb.operations import OperationType
@@ -83,15 +82,8 @@ class Phase1Result:
     #: share — the serving phase replays them against each policy's
     #: compacted sstable set.  ``None`` for write-only mixes.
     read_ops: Optional[ReadOpColumns] = None
-    #: Ingest accounting (docs/concurrency.md, part 2).  The wall clock
-    #: covers table generation on either plane — measured for serial
-    #: ingest too, so pipelined-vs-serial comparisons read straight off
-    #: a report; stalls and flush overlap only move when
-    #: ``write_pipeline=True``.
-    write_pipeline: bool = False
+    #: Wall clock of table generation on either plane.
     ingest_wall_seconds: float = 0.0
-    write_stall_count: int = 0
-    flush_overlap_fraction: float = 0.0
 
     @property
     def n_tables(self) -> int:
@@ -199,13 +191,7 @@ def _wants_read_ops(config: SimulationConfig) -> bool:
 
 
 def generate_sstables_reference(config: SimulationConfig) -> Phase1Result:
-    """The operation-at-a-time plane: drive the real LSM engine.
-
-    With ``write_pipeline=True`` the engine is the
-    :class:`~repro.lsm.pipeline.PipelinedLSMEngine`: freezes go to the
-    immutable queue and flush on background workers while the op loop
-    keeps ingesting — same tables, byte for byte.
-    """
+    """The operation-at-a-time plane: drive the real LSM engine."""
     workload = CoreWorkload(config.workload_config())
     engine_config = EngineConfig(
         memtable_capacity=config.memtable_capacity,
@@ -214,16 +200,7 @@ def generate_sstables_reference(config: SimulationConfig) -> Phase1Result:
         default_value_size=config.value_size,
         use_wal=False,
     )
-    disk = SimulatedDisk(config.timing_model())
-    if config.write_pipeline:
-        engine: LSMEngine = PipelinedLSMEngine(
-            engine_config,
-            disk,
-            max_immutable_memtables=config.max_immutable_memtables,
-            flush_workers=resolve_flush_workers(config.flush_workers),
-        )
-    else:
-        engine = LSMEngine(engine_config, disk)
+    engine = LSMEngine(engine_config, SimulatedDisk(config.timing_model()))
     collect = _wants_read_ops(config)
     read_keynums: list[int] = []
     scan_keynums: list[int] = []
@@ -242,16 +219,6 @@ def generate_sstables_reference(config: SimulationConfig) -> Phase1Result:
         count += 1
     engine.flush()
     ingest_wall = perf_counter() - ingest_start
-    stall_count = 0
-    overlap = 0.0
-    if config.write_pipeline:
-        pipeline_metrics = engine.pipeline_metrics()
-        stall_count = pipeline_metrics.write_stall_count
-        if ingest_wall > 0.0:
-            overlap = min(
-                1.0, pipeline_metrics.flush_overlap_seconds / ingest_wall
-            )
-        engine.close()
     tables = list(engine.sstables)
     return Phase1Result(
         tables=tables,
@@ -265,10 +232,7 @@ def generate_sstables_reference(config: SimulationConfig) -> Phase1Result:
         )
         if collect
         else None,
-        write_pipeline=config.write_pipeline,
         ingest_wall_seconds=ingest_wall,
-        write_stall_count=stall_count,
-        flush_overlap_fraction=overlap,
     )
 
 
@@ -277,23 +241,17 @@ def generate_sstables_fast(config: SimulationConfig) -> Phase1Result:
     workload = CoreWorkload(config.workload_config())
     stream = workload.op_stream_columns(include_read_ops=_wants_read_ops(config))
     ingest_start = perf_counter()
-    tables, stall_count, overlap_seconds = _build_tables_and_stats(
+    tables = build_tables_from_columns(
         stream.write_keynums, stream.tombstone_positions, config
     )
     ingest_wall = perf_counter() - ingest_start
-    overlap = (
-        min(1.0, overlap_seconds / ingest_wall) if ingest_wall > 0.0 else 0.0
-    )
     return Phase1Result(
         tables=tables,
         total_operations=stream.total_operations,
         total_entries=sum(table.entry_count for table in tables),
         plane_used="fast",
         read_ops=stream.read_ops,
-        write_pipeline=config.write_pipeline,
         ingest_wall_seconds=ingest_wall,
-        write_stall_count=stall_count,
-        flush_overlap_fraction=overlap,
     )
 
 
@@ -306,19 +264,7 @@ def build_tables_from_columns(
     shard-local indices, so per-shard seqnos restart at 1 — each shard
     is an independent engine with its own seqno space.  ``keynums`` may
     be a list or an int64 array; ``tombstone_positions`` indexes into it.
-    With ``config.write_pipeline`` the slab flushes run through the
-    :class:`~repro.lsm.pipeline.FlushPipeline` (byte-identical by
-    construction: each slab builds independently and publishes in slab
-    order).
     """
-    tables, _, _ = _build_tables_and_stats(keynums, tombstone_positions, config)
-    return tables
-
-
-def _build_tables_and_stats(
-    keynums, tombstone_positions, config: SimulationConfig
-) -> tuple[list[SSTable], int, float]:
-    """Tables plus (stall count, flush-overlap seconds) for the pipeline."""
     capacity = config.memtable_capacity
     if _np is not None:
         key_array = _np.asarray(keynums, dtype=_np.int64)
@@ -326,33 +272,15 @@ def _build_tables_and_stats(
             slabs = _map_mode_slabs_columnar(key_array, capacity)
         else:
             slabs = _append_mode_slabs(int(key_array.size), capacity)
-        build_one = _columnar_slab_builder(
-            key_array, list(tombstone_positions), config
+        return _flush_slabs_columnar(
+            key_array, list(tombstone_positions), slabs, config
         )
+    keys = [int(key) for key in keynums]
+    if config.memtable_mode == "map":
+        slabs = distinct_capacity_boundaries(keys, capacity)
     else:
-        keys = [int(key) for key in keynums]
-        if config.memtable_mode == "map":
-            slabs = distinct_capacity_boundaries(keys, capacity)
-        else:
-            slabs = _append_mode_slabs(len(keys), capacity)
-        build_one = _pure_slab_builder(keys, list(tombstone_positions), config)
-    if not config.write_pipeline:
-        return [
-            build_one(table_id, start, stop)
-            for table_id, (start, stop) in enumerate(slabs)
-        ], 0, 0.0
-    tables: list[SSTable] = []
-    with FlushPipeline(
-        build=lambda item: build_one(*item),
-        publish=lambda item, table: tables.append(table),
-        max_pending=config.max_immutable_memtables,
-        workers=resolve_flush_workers(config.flush_workers),
-    ) as pipeline:
-        for table_id, (start, stop) in enumerate(slabs):
-            pipeline.submit((table_id, start, stop))
-        pipeline.drain()
-        metrics = pipeline.metrics()
-    return tables, metrics.write_stall_count, metrics.flush_overlap_seconds
+        slabs = _append_mode_slabs(len(keys), capacity)
+    return _flush_slabs_pure(keys, list(tombstone_positions), slabs, config)
 
 
 def _append_mode_slabs(total_writes: int, capacity: int) -> list[tuple[int, int]]:
@@ -414,28 +342,27 @@ def _map_mode_slabs_columnar(
     return boundaries
 
 
-def _columnar_slab_builder(
+def _flush_slabs_columnar(
     keynums: "_np.ndarray",
     tombstone_positions: list[int],
+    slabs: list[tuple[int, int]],
     config: SimulationConfig,
-):
-    """A per-slab table builder: dedupe one flush slab with one stable argsort.
+) -> list[SSTable]:
+    """Dedupe each flush slab with one stable argsort.
 
     The stable argsort keeps equal keys in write order, so the last
     entry of every equal-key run is the newest version — exactly the
     record both memtable flavours' dict dedup keeps at flush.  Works
     unchanged for static (append-mode) and data-dependent (map-mode)
-    slab ranges.  Each slab builds from read-only slices of the shared
-    columns, so the serial loop and the flush pipeline's workers run the
-    very same code — byte-identity by construction.
+    slab ranges.
     """
     tombstones = None
     if tombstone_positions:
         tombstones = _np.zeros(keynums.shape, dtype=bool)
         tombstones[_np.asarray(tombstone_positions, dtype=_np.intp)] = True
     value_size = config.value_size
-
-    def build(table_id: int, start: int, stop: int) -> SSTable:
+    tables: list[SSTable] = []
+    for table_id, (start, stop) in enumerate(slabs):
         slab_keys = keynums[start:stop]
         order = _np.argsort(slab_keys, kind="stable")
         sorted_keys = slab_keys[order]
@@ -450,28 +377,30 @@ def _columnar_slab_builder(
         else:
             slab_tombstones = None
             value_sizes = value_size
-        return SSTable.from_columns(
-            table_id,
-            sorted_keys[newest],
-            seqnos,
-            value_sizes,
-            slab_tombstones,
-            bloom_fp_rate=config.bloom_fp_rate,
+        tables.append(
+            SSTable.from_columns(
+                table_id,
+                sorted_keys[newest],
+                seqnos,
+                value_sizes,
+                slab_tombstones,
+                bloom_fp_rate=config.bloom_fp_rate,
+            )
         )
+    return tables
 
-    return build
 
-
-def _pure_slab_builder(
+def _flush_slabs_pure(
     keynums: list[int],
     tombstone_positions: list[int],
+    slabs: list[tuple[int, int]],
     config: SimulationConfig,
-):
-    """Numpy-less per-slab builder: batch-fill the mode's memtable and flush."""
+) -> list[SSTable]:
+    """Numpy-less slab pipeline: batch-fill the mode's memtable and flush."""
     tombstone_set = set(tombstone_positions)
     value_size = config.value_size
-
-    def build(table_id: int, start: int, stop: int) -> SSTable:
+    tables: list[SSTable] = []
+    for table_id, (start, stop) in enumerate(slabs):
         memtable = make_memtable(config.memtable_mode, config.memtable_capacity)
         memtable.add_batch(
             [
@@ -481,38 +410,11 @@ def _pure_slab_builder(
                 for index in range(start, stop)
             ]
         )
-        return SSTable(
-            table_id,
-            memtable.flush_records(),
-            bloom_fp_rate=config.bloom_fp_rate,
+        tables.append(
+            SSTable(
+                table_id,
+                memtable.flush_records(),
+                bloom_fp_rate=config.bloom_fp_rate,
+            )
         )
-
-    return build
-
-
-def _flush_slabs_columnar(
-    keynums: "_np.ndarray",
-    tombstone_positions: list[int],
-    slabs: list[tuple[int, int]],
-    config: SimulationConfig,
-) -> list[SSTable]:
-    """Serial loop over :func:`_columnar_slab_builder` (tests use this)."""
-    build = _columnar_slab_builder(keynums, tombstone_positions, config)
-    return [
-        build(table_id, start, stop)
-        for table_id, (start, stop) in enumerate(slabs)
-    ]
-
-
-def _flush_slabs_pure(
-    keynums: list[int],
-    tombstone_positions: list[int],
-    slabs: list[tuple[int, int]],
-    config: SimulationConfig,
-) -> list[SSTable]:
-    """Serial loop over :func:`_pure_slab_builder`."""
-    build = _pure_slab_builder(keynums, tombstone_positions, config)
-    return [
-        build(table_id, start, stop)
-        for table_id, (start, stop) in enumerate(slabs)
-    ]
+    return tables

@@ -111,8 +111,6 @@ def build_strategy(
         backend=config.backend,
         estimator=estimator,
         merge_kernel=merge_kernel,
-        merge_executor=config.merge_executor,
-        merge_workers=config.merge_workers or None,
         **kwargs,
     )
 
@@ -170,9 +168,6 @@ def run_strategy(
         simulated_seconds=result.simulated_seconds,
         strategy_overhead_seconds=result.strategy_overhead_seconds,
         wall_seconds=result.wall_seconds,
-        merge_executor=result.merge_executor,
-        merge_workers=result.merge_workers,
         merge_wall_seconds=result.merge_wall_seconds,
-        merge_utilization=result.merge_utilization,
         **read_metrics,
     )

@@ -16,8 +16,9 @@ Sweeps correspond one-to-one to the figures:
 Parallelism
 -----------
 Every sweep (and :func:`run_comparison`) accepts ``jobs``: the
-independent *(point, run)* cells fan out over a
-``concurrent.futures.ProcessPoolExecutor``.  A cell is one seeded
+independent *(point, run)* cells fan out over worker processes
+(:func:`~repro.simulator.pool.map_in_order`; the first failing cell
+cancels the cells not yet started).  A cell is one seeded
 phase 1 plus phase 2 for every strategy label — the whole unit the
 paired comparison needs — and its seed is derived from the cell's
 configuration alone (``config.seed + run_index``), never from
@@ -29,7 +30,6 @@ overhead columns vary, exactly as they do between two serial runs.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -38,6 +38,7 @@ from .config import SimulationConfig
 from .metrics import AggregateResult, StrategyResult, aggregate
 from .phase1 import generate_sstables
 from .phase2 import run_strategy, strategy_labels
+from .pool import map_in_order
 
 
 @dataclass(frozen=True)
@@ -102,13 +103,9 @@ def _comparison_cell(
                 seed=run_config.seed,
                 read_ops=phase1.read_ops,
             ),
-            # Phase-1 ingest accounting rides on every strategy's result
-            # (the tables are shared within a run, so these are
-            # per-cell, not per-strategy).
-            write_pipeline=phase1.write_pipeline,
+            # The tables are shared within a run, so the ingest wall
+            # clock is per-cell, not per-strategy.
             ingest_wall_seconds=phase1.ingest_wall_seconds,
-            write_stall_count=phase1.write_stall_count,
-            flush_overlap_fraction=phase1.flush_overlap_fraction,
         )
         for label in labels
     }
@@ -151,9 +148,7 @@ def _run_cells(
             tasks.append(
                 (index, _comparison_cell, (config, labels, run_index))
             )
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        futures = [pool.submit(fn, *args) for _, fn, args in tasks]
-        outputs = [future.result() for future in futures]
+    outputs = map_in_order([(fn, args) for _, fn, args in tasks], jobs)
     results: list[dict[str, StrategyResult] | None] = [None] * len(cells)
     shard_runs: dict[int, list] = {}
     for (index, fn, _), output in zip(tasks, outputs):

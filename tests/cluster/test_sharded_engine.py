@@ -43,8 +43,6 @@ DETERMINISTIC_FIELDS = (
     "bytes_written",
     "io_seconds",
     "simulated_seconds",
-    "merge_executor",
-    "merge_workers",
     "reads",
     "scans",
     "read_hits",

@@ -101,6 +101,25 @@ class TestExecutor:
         )
         assert result.simulated_seconds == pytest.approx(result.io_seconds)
 
+    def test_corrupt_schedule_rejected_before_any_merge(self):
+        # MergeSchedule.__init__ validates, so hand-build a corrupt one:
+        # step 0 reads table 3, which only step 1 (later) produces.
+        schedule = object.__new__(MergeSchedule)
+        schedule.n_initial = 2
+        schedule.steps = (MergeStep((0, 3), 2), MergeStep((1, 2), 3))
+        disk = SimulatedDisk()
+        with pytest.raises(CompactionError, match="no earlier step"):
+            execute_schedule(make_tables(2), schedule, disk, 10)
+        assert disk.stats.bytes_written == 0
+
+    def test_single_table_schedule_merges_nothing(self):
+        tables = make_tables(1)
+        result = execute_schedule(
+            tables, MergeSchedule(1, []), SimulatedDisk(), next_table_id=10
+        )
+        assert result.n_merges == 0
+        assert result.output_table is tables[0]
+
     def test_validation(self):
         tables = make_tables(3)
         schedule = MergeSchedule(3, [MergeStep((0, 1), 3), MergeStep((3, 2), 4)])

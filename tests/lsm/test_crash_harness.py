@@ -14,6 +14,10 @@ phantom newer state, is a durability-ordering bug.
 A second sweep crashes *recovery itself* (the double-crash scenario):
 after the first injected crash, the reopen runs under a fresh fault
 plan, and only the third process generation must converge.
+
+Both sweeps run once per memtable mode: ``append`` flushes on every
+capacity-th write, ``map`` only on capacity-th distinct key, so the two
+place their flush boundaries differently.
 """
 
 import pytest
@@ -23,7 +27,6 @@ from hypothesis import strategies as st
 from repro.lsm import (
     CrashPoint,
     DurableLSMEngine,
-    DurablePipelinedLSMEngine,
     EngineConfig,
     FaultInjectedFileSystem,
     FaultPlan,
@@ -43,27 +46,11 @@ ops_strategy = st.lists(
     max_size=8,
 )
 
-CONFIG = EngineConfig(memtable_capacity=3)
+MODES = ["append", "map"]
 
 
-def _open_plain(fs):
-    return DurableLSMEngine.open(fs=fs, config=CONFIG)
-
-
-def _open_pipelined(fs):
-    # Queue bound 1 with capacity 3: the 3-8 op workloads exercise
-    # freeze, WAL segment rotation, inline (backpressure) flush sync,
-    # manifest commit and segment GC — every boundary the write
-    # pipeline added.
-    return DurablePipelinedLSMEngine.open(
-        fs=fs, config=CONFIG, max_immutable_memtables=1
-    )
-
-
-#: Both durable engines sweep the same fault points: the plain engine
-#: pins the original protocol, the pipelined one the freeze/rotation
-#: protocol on top of it.
-ENGINES = [_open_plain, _open_pipelined]
+def make_config(mode):
+    return EngineConfig(memtable_capacity=3, memtable_mode=mode)
 
 
 def run_workload(engine, ops, completed):
@@ -107,9 +94,9 @@ def check_against_oracle(engine, completed, context):
             assert record is None, f"{context}: phantom key {key}"
 
 
-def count_fault_points(ops, open_engine=_open_plain):
+def count_fault_points(ops, config):
     fs = FaultInjectedFileSystem(MemoryFileSystem())
-    engine = open_engine(fs)
+    engine = DurableLSMEngine.open(fs=fs, config=config)
     run_workload(engine, ops, [])
     return fs.writes_done, fs.syncs_done
 
@@ -121,39 +108,39 @@ def all_plans(writes, syncs, torn_bytes):
         yield FaultPlan(crash_at_sync=n)
 
 
-@pytest.mark.parametrize("open_engine", ENGINES)
+@pytest.mark.parametrize("mode", MODES)
 @settings(max_examples=5, deadline=None)
 @given(ops=ops_strategy, torn_bytes=st.sampled_from([0, 1, 5]))
-def test_crash_at_every_fault_point_recovers_completed_ops(
-    open_engine, ops, torn_bytes
-):
-    writes, syncs = count_fault_points(ops, open_engine)
+def test_crash_at_every_fault_point_recovers_completed_ops(mode, ops, torn_bytes):
+    config = make_config(mode)
+    writes, syncs = count_fault_points(ops, config)
     for plan in all_plans(writes, syncs, torn_bytes):
-        context = f"engine={open_engine.__name__} plan={plan}"
+        context = f"plan={plan}"
         fs = FaultInjectedFileSystem(MemoryFileSystem(), plan)
         completed = []
         try:
-            engine = open_engine(fs)
+            engine = DurableLSMEngine.open(fs=fs, config=config)
             run_workload(engine, ops, completed)
         except CrashPoint:
             pass
-        recovered = open_engine(fs.base)
+        recovered = DurableLSMEngine.open(fs=fs.base, config=config)
         check_against_oracle(recovered, completed, context)
 
 
-@pytest.mark.parametrize("open_engine", ENGINES)
+@pytest.mark.parametrize("mode", MODES)
 @settings(max_examples=5, deadline=None)
 @given(ops=ops_strategy)
-def test_double_crash_mid_recovery_still_converges(open_engine, ops):
+def test_double_crash_mid_recovery_still_converges(mode, ops):
     """Crash the workload, then crash every point of the recovery run;
     the third generation must still satisfy the oracle."""
-    writes, syncs = count_fault_points(ops, open_engine)
+    config = make_config(mode)
+    writes, syncs = count_fault_points(ops, config)
     # Crash the workload at its last write (the deepest durable state).
     first_plan = FaultPlan(crash_at_write=writes)
     fs = FaultInjectedFileSystem(MemoryFileSystem(), first_plan)
     completed = []
     try:
-        engine = open_engine(fs)
+        engine = DurableLSMEngine.open(fs=fs, config=config)
         run_workload(engine, ops, completed)
     except CrashPoint:
         pass
@@ -162,14 +149,14 @@ def test_double_crash_mid_recovery_still_converges(open_engine, ops):
     # Recovery itself performs a handful of writes/syncs (tmp-manifest
     # sweeps, torn-tail repair, mid-replay flushes); crash each of them.
     probe = FaultInjectedFileSystem(_restore(snapshot))
-    open_engine(probe)
+    DurableLSMEngine.open(fs=probe, config=config)
     for plan in all_plans(probe.writes_done, probe.syncs_done, torn_bytes=1):
         crashed_fs = FaultInjectedFileSystem(_restore(snapshot), plan)
         try:
-            open_engine(crashed_fs)
+            DurableLSMEngine.open(fs=crashed_fs, config=config)
         except CrashPoint:
             pass
-        final = open_engine(crashed_fs.base)
+        final = DurableLSMEngine.open(fs=crashed_fs.base, config=config)
         check_against_oracle(final, completed, f"recovery crash {plan}")
 
 

@@ -6,10 +6,12 @@ from repro.errors import CorruptionError, StorageError
 from repro.lsm import (
     DurableLSMEngine,
     EngineConfig,
+    FileWriteAheadLog,
     LSMEngine,
     LocalFileSystem,
     MajorCompaction,
     MemoryFileSystem,
+    Record,
 )
 from repro.lsm.format.manifest import MANIFEST_NAME, MANIFEST_TMP_NAME
 
@@ -118,6 +120,34 @@ class TestOpenAndRecover:
         assert [r.key for r in recovered.scan(3, 4)] == [3, 4, 5, 6]
         assert recovered.get(8).value_size == 9
 
+    def test_deletes_survive_flush_and_recovery(self):
+        fs = MemoryFileSystem()
+        engine = open_engine(fs, capacity=4)
+        for i in range(8):
+            engine.put(i, value_size=30)
+        engine.delete(3)  # flushed tombstone
+        engine.flush()
+        engine.delete(7)  # tombstone only in the WAL
+        recovered = engine.simulate_crash_and_recover()
+        assert recovered.get(3) is None
+        assert recovered.get(7) is None
+        assert recovered.get(0) is not None
+
+    def test_double_reopen_stable(self):
+        fs = MemoryFileSystem()
+        engine = open_engine(fs, capacity=4)
+        model = {}
+        for i in range(23):
+            engine.put(i % 9, value_size=i + 1)
+            model[i % 9] = i + 1
+        once = engine.simulate_crash_and_recover()
+        twice = once.simulate_crash_and_recover()
+        assert twice.table_count == once.table_count == engine.table_count
+        for key, size in model.items():
+            assert twice.get(key).value_size == size
+        # A plain engine writes no segments, so its own store reopens.
+        assert not [name for name in fs.listdir() if name.startswith("wal-")]
+
 
 class TestDurableMidReplayFlush:
     """Reopening under a smaller memtable forces flushes mid-replay;
@@ -210,6 +240,72 @@ class TestRecoveryHousekeeping:
 
 
 class TestDurableCorruption:
+    def test_wal_segments_refused_and_left_untouched(self):
+        """``wal-NNNNNN.log`` segments may log acknowledged writes that
+        only ``wal.log`` replay would miss: open refuses the store."""
+        fs = MemoryFileSystem()
+        engine = open_engine(fs)
+        engine.put(1)
+        engine.flush()
+        segment = FileWriteAheadLog(fs, name="wal-000003.log")
+        segment.append(Record.put(2, engine._seqno + 1, value_size=10))
+        segment.close()
+        before = {name: fs.read_bytes(name) for name in fs.listdir()}
+        with pytest.raises(CorruptionError, match="wal-000003.log"):
+            open_engine(fs)
+        assert {name: fs.read_bytes(name) for name in fs.listdir()} == before
+
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            ["wal-000001.log"],
+            ["wal-000002.log", "wal-000010.log", "wal-000004.log"],
+        ],
+        ids=["one", "several"],
+    )
+    def test_refusal_names_every_segment(self, segments):
+        fs = MemoryFileSystem()
+        engine = open_engine(fs)
+        for i in range(12):
+            engine.put(i)
+        for offset, name in enumerate(segments, start=1):
+            segment = FileWriteAheadLog(fs, name=name)
+            segment.append(Record.put(100, engine._seqno + offset, value_size=10))
+            segment.close()
+        with pytest.raises(CorruptionError) as excinfo:
+            open_engine(fs)
+        assert str(sorted(segments)) in str(excinfo.value)
+
+    def test_empty_segment_still_refused(self):
+        """An empty segment proves the store was written by the
+        segmented engine; whether the others were collected is unknown."""
+        fs = MemoryFileSystem()
+        open_engine(fs).put(1)
+        fs.open_write("wal-000001.log").close()
+        with pytest.raises(CorruptionError, match="wal-000001.log"):
+            open_engine(fs)
+
+    def test_segments_refused_on_local_filesystem(self, tmp_path):
+        engine = DurableLSMEngine.open(tmp_path)
+        engine.put(1, value=b"v")
+        (tmp_path / "wal-000007.log").write_bytes(b"")
+        with pytest.raises(CorruptionError, match="wal-000007.log"):
+            LSMEngine.open(tmp_path)
+        assert (tmp_path / "wal-000007.log").exists()
+
+    def test_store_opens_once_segments_are_gone(self):
+        fs = MemoryFileSystem()
+        engine = open_engine(fs)
+        for i in range(7):
+            engine.put(i, value_size=i + 1)
+        fs.open_write("wal-000001.log").close()
+        with pytest.raises(CorruptionError):
+            open_engine(fs)
+        fs.remove("wal-000001.log")
+        recovered = open_engine(fs)
+        for i in range(7):
+            assert recovered.get(i).value_size == i + 1
+
     def test_corrupt_sstable_block_raises_typed_error(self):
         fs = MemoryFileSystem()
         engine = open_engine(fs)

@@ -276,3 +276,72 @@ class TestWorkloadDriving:
         assert engine.table_count == 1
         # every loaded key that was never deleted must be readable
         assert engine.get(0) is not None
+
+
+def _put_delete_mix(n=600, keyspace=97):
+    """A deterministic put/delete mix with repeated keys."""
+    ops = []
+    for i in range(n):
+        key = (i * 37) % keyspace
+        if i % 11 == 3:
+            ops.append(("delete", key, 0))
+        else:
+            ops.append(("put", key, 40 + (i % 5)))
+    return ops
+
+
+class TestFlushAgainstOracle:
+    @pytest.mark.parametrize("mode", ["append", "map"])
+    @pytest.mark.parametrize("capacity", [1, 7, 32])
+    def test_flushed_state_matches_oracle(self, mode, capacity):
+        engine = engine_with(capacity=capacity, mode=mode, use_wal=False)
+        model = {}
+        for op, key, size in _put_delete_mix():
+            if op == "put":
+                engine.put(key, value_size=size)
+                model[key] = size
+            else:
+                engine.delete(key)
+                model.pop(key, None)
+        engine.flush()
+        assert engine.memtable.is_empty
+        for key in range(97):
+            record = engine.get(key)
+            if key in model:
+                assert record is not None and record.value_size == model[key]
+            else:
+                assert record is None
+        assert [r.key for r in engine.scan(0, 97)] == sorted(model)
+        # One sorted, duplicate-free table per flush, ids in flush order,
+        # and the disk charged exactly the tables' bytes.
+        assert engine.flush_count == engine.table_count
+        assert [t.table_id for t in engine.sstables] == list(
+            range(engine.table_count)
+        )
+        for table in engine.sstables:
+            keys = [r.key for r in table.records]
+            assert keys == sorted(set(keys))
+        assert engine.disk.stats.bytes_written == sum(
+            t.size_bytes for t in engine.sstables
+        )
+
+    def test_memtable_version_shadows_tables(self):
+        engine = engine_with(capacity=4)
+        for version in (1, 2):
+            for key in range(4):
+                engine.put(key, value_size=version)
+        engine.put(0, value_size=3)  # still in the memtable
+        assert engine.table_count == 2
+        assert engine.get(0).value_size == 3
+        assert [r.value_size for r in engine.scan(0, 4)] == [3, 2, 2, 2]
+
+    @pytest.mark.parametrize("mode", ["append", "map"])
+    def test_unsortable_flush_publishes_nothing(self, mode):
+        engine = engine_with(capacity=2, mode=mode)
+        engine.put(1, value_size=10)
+        engine.put("a", value_size=10)
+        with pytest.raises(TypeError):
+            engine.flush()
+        assert engine.table_count == 0
+        assert engine.flush_count == 0
+        assert not engine.memtable.is_empty

@@ -1,6 +1,8 @@
 """End-to-end ExperimentRunner + ResultsStore at tiny scale."""
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,7 @@ from repro.scenarios import (
     Scenario,
     SweepSpec,
 )
-from repro.scenarios.store import SCHEMA_VERSION
+from repro.scenarios.store import SCHEMA_VERSION, write_text_atomic
 from repro.simulator import SimulationConfig
 from repro.simulator.runner import ComparisonResult, SweepResult
 
@@ -189,6 +191,74 @@ class TestStore:
         manifest = store.load(path)
         assert manifest.plane_used == "reference"
         assert {cell["plane_used"] for cell in manifest.cells} == {"reference"}
+
+    def test_failed_write_leaves_no_loadable_manifest(
+        self, store, monkeypatch
+    ):
+        """A manifest write that dies partway leaves nothing to load."""
+        run = ExperimentRunner(store=None).run("churn", runs=1, overrides=TINY)
+        real_open = Path.open
+
+        def torn_open(path, mode="r", *args, **kwargs):
+            handle = real_open(path, mode, *args, **kwargs)
+            if "w" in mode:
+                real_write = handle.write
+
+                def torn_write(text):
+                    real_write(text[: len(text) // 2])
+                    raise OSError("disk full")
+
+                handle.write = torn_write
+            return handle
+
+        monkeypatch.setattr(Path, "open", torn_open)
+        with pytest.raises(OSError, match="disk full"):
+            store.write(run)
+        monkeypatch.undo()
+        assert list(store.manifests()) == []
+        assert [p for p in store.root.rglob("*") if p.is_file()] == []
+
+    def test_atomic_write_creates_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_text_atomic(path, '{"a": 1}')
+        assert path.read_text() == '{"a": 1}'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
+
+    def test_atomic_write_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text("old")
+        write_text_atomic(path, "new")
+        assert path.read_text() == "new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
+
+    def test_failed_atomic_write_keeps_previous_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "doc.json"
+        path.write_text("old")
+
+        def failing_fsync(fd):
+            raise OSError("fsync failed")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="fsync failed"):
+            write_text_atomic(path, "new")
+        assert path.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
+
+    def test_temp_file_escapes_the_json_glob(self, tmp_path, monkeypatch):
+        """While the write is in flight, no ``*.json`` file is partial."""
+        seen = []
+        real_replace = os.replace
+
+        def observing_replace(src, dst):
+            seen.append(sorted(p.name for p in tmp_path.glob("*.json")))
+            seen.append(Path(src).name)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", observing_replace)
+        write_text_atomic(tmp_path / "doc.json", "{}")
+        assert seen == [[], "doc.json.tmp"]
 
     def test_manifest_spec_is_rerunnable(self, runner, store):
         _, path = runner.run_and_record("read-heavy", runs=1, overrides=TINY)

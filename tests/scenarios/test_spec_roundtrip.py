@@ -108,6 +108,53 @@ class TestRegisteredScenarioRoundtrips:
             Scenario.from_dict(data)
 
 
+#: Config keys of the removed thread/process merge executor and write
+#: pipeline, at the values every spec and manifest carried while those
+#: features were off.
+RETIRED_DEFAULTS = {
+    "merge_executor": "serial",
+    "merge_workers": 0,
+    "write_pipeline": False,
+    "max_immutable_memtables": 2,
+    "flush_workers": 0,
+}
+
+
+def _old_spec(**config_changes):
+    """A fig7a spec as stored before those features were removed."""
+    data = REGISTRY.get("fig7a").to_dict()
+    data["config"] = {**data["config"], **RETIRED_DEFAULTS, **config_changes}
+    return json.loads(json.dumps(data))
+
+
+class TestRetiredConfigKeys:
+    def test_old_spec_at_retired_defaults_loads(self):
+        assert Scenario.from_dict(_old_spec()) == REGISTRY.get("fig7a")
+
+    @pytest.mark.parametrize(
+        "key, value, feature",
+        [
+            ("merge_executor", "thread", "merge executor"),
+            ("merge_workers", 4, "merge executor"),
+            ("write_pipeline", True, "write pipeline"),
+            ("max_immutable_memtables", 3, "write pipeline"),
+            ("flush_workers", 2, "write pipeline"),
+        ],
+    )
+    def test_retired_key_in_use_names_the_removed_feature(
+        self, key, value, feature
+    ):
+        with pytest.raises(ConfigError, match=feature):
+            Scenario.from_dict(_old_spec(**{key: value}))
+
+    @pytest.mark.parametrize("key", sorted(RETIRED_DEFAULTS))
+    def test_each_retired_key_at_its_old_default_is_dropped(self, key):
+        data = {**SimulationConfig().to_dict(), key: RETIRED_DEFAULTS[key]}
+        config = SimulationConfig.from_dict(data)
+        assert config == SimulationConfig()
+        assert key not in config.to_dict()
+
+
 class TestClusterSweepParameters:
     """The scale-out tier's sweep axes and presets (docs/sharding.md)."""
 

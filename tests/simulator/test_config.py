@@ -54,20 +54,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SimulationConfig(hll_precision=99)
 
-    def test_merge_executor_validated(self):
-        assert SimulationConfig().merge_executor == "serial"
-        SimulationConfig(merge_executor="thread", merge_workers=4)
-        with pytest.raises(ConfigError):
-            SimulationConfig(merge_executor="gpu")
-        with pytest.raises(ConfigError):
-            SimulationConfig(merge_workers=-1)
-
-    def test_describe_mentions_parallel_merges_only(self):
-        assert "merge=" not in SimulationConfig().describe()
-        text = SimulationConfig(merge_executor="process").describe()
-        assert "merge=processxauto" in text
-        text = SimulationConfig(merge_executor="thread", merge_workers=2).describe()
-        assert "merge=threadx2" in text
 
 
 class TestPresets:
