@@ -69,7 +69,7 @@ def figure7_results():
 
 def write_artifact(results_dir: Path, name: str, result) -> Path:
     path = results_dir / f"{name}.txt"
-    path.write_text(f"{result.title}\n\n{result.text}\n")
+    write_text_atomic(path, f"{result.title}\n\n{result.text}\n")
     return path
 
 

@@ -4,8 +4,9 @@ PR 3's pipeline bench pinned the fast plane's win for append-mode,
 writes-only configs; every other scenario silently fell back to the
 operation-at-a-time reference loop.  This bench pins the generalized
 plane: at figure-7 scale, **phase 1 end to end** (YCSB generation +
-memtable flushes) must run at least 3x faster on ``data_plane="auto"``
-than on ``data_plane="reference"`` for
+memtable flushes) must run at least 3x faster through
+``generate_sstables`` than through the operation-at-a-time loop of
+``tests/oracles/phase1.py`` for
 
 * a **map-mode** config (distinct-key memtable capacity, whose flush
   boundaries are data-dependent and found by the chunked running
@@ -14,7 +15,7 @@ than on ``data_plane="reference"`` for
   read draws are consumed and dropped before the memtable),
 
 while producing **byte-identical** sstables and identical phase-2
-metrics on both planes.
+metrics (the reference side merging with the heap kernel).
 
 Writes ``results/ablation_mixed_plane_speedup.txt`` and
 ``results/BENCH_mixed_plane_speedup.json``.
@@ -35,12 +36,9 @@ np = pytest.importorskip(
 
 from repro.analysis.tables import format_table
 from repro.scenarios import REGISTRY
-from repro.simulator import (
-    SimulationConfig,
-    generate_sstables,
-    resolve_plane,
-    run_strategy,
-)
+from repro.simulator import SimulationConfig, generate_sstables, run_strategy
+from tests.oracles.kernels import reference_kernels
+from tests.oracles.phase1 import generate_sstables_reference
 
 from conftest import write_artifact, write_bench_json
 
@@ -48,12 +46,12 @@ REPEATS = 3  # best-of timing to damp scheduler noise
 STRATEGY = "SI"
 
 
-def best_of_phase1(config: SimulationConfig):
+def best_of_phase1(config: SimulationConfig, generate=generate_sstables):
     """Best-of-N timed phase 1; returns (seconds, result)."""
     best_seconds, result = float("inf"), None
     for _ in range(REPEATS):
         started = time.perf_counter()
-        this_result = generate_sstables(config)
+        this_result = generate(config)
         seconds = time.perf_counter() - started
         if seconds < best_seconds:
             best_seconds, result = seconds, this_result
@@ -69,11 +67,10 @@ def assert_identical(config, reference, fast):
     for ref_table, fast_table in zip(reference.tables, fast.tables):
         assert ref_table.records == fast_table.records
         assert ref_table.size_bytes == fast_table.size_bytes
-    # Phase 2 metrics must agree too (untimed: the plane only changes
-    # phase 1 here; the merge kernels were certified by PR 3's bench).
-    ref_metrics = run_strategy(
-        reference.tables, STRATEGY, replace(config, data_plane="reference")
-    )
+    # Phase 2 metrics must agree too (untimed: only phase 1 differs
+    # here; the merge kernels were certified by PR 3's bench).
+    with reference_kernels():
+        ref_metrics = run_strategy(reference.tables, STRATEGY, config)
     fast_metrics = run_strategy(fast.tables, STRATEGY, config)
     assert ref_metrics.cost_actual == fast_metrics.cost_actual
     assert ref_metrics.bytes_read == fast_metrics.bytes_read
@@ -99,10 +96,9 @@ def test_mixed_plane_at_least_3x_faster(bench_fast, results_dir):
     rows = []
     measured = {}
     for name, config in cases.items():
-        assert resolve_plane(config) == "fast", name
         fast_seconds, fast_result = best_of_phase1(config)
         ref_seconds, ref_result = best_of_phase1(
-            replace(config, data_plane="reference")
+            config, generate_sstables_reference
         )
         assert_identical(config, ref_result, fast_result)
         speedup = ref_seconds / fast_seconds

@@ -1,13 +1,14 @@
-"""Data-plane ablation: batched columnar pipeline vs the reference plane.
+"""Data-plane ablation: batched columnar pipeline vs the reference path.
 
 Reproduces the acceptance bar of the vectorized data-plane PR: at
 figure-7 scale (~100 sstables from the paper's workload) one end-to-end
 phase 1 + phase 2 pass — YCSB generation, memtable flushes, and a full
-SMALLESTINPUT major compaction — must run at least 3x faster on the
-fast plane (``data_plane="auto"``: columnar YCSB batches, array-backed
-sstables, lexsort merge kernel) than on the reference plane
-(``data_plane="reference"``: per-operation engine loop, heap merge),
-while producing **bit-identical** sstables and metrics.  The insert-mix
+SMALLESTINPUT major compaction — must run at least 3x faster through
+the simulator (columnar YCSB batches, array-backed sstables, lexsort
+merge kernel) than through the reference path (the per-operation engine
+loop of ``tests/oracles/phase1.py``, then the heap merge kernel forced
+by ``tests/oracles/kernels.py``), while producing **bit-identical**
+sstables and metrics.  The insert-mix
 point is also timed because insert-heavy workloads stress the merge
 kernel hardest (nothing dedups away).
 
@@ -30,6 +31,8 @@ np = pytest.importorskip(
 
 from repro.analysis.tables import format_table
 from repro.simulator import SimulationConfig, generate_sstables, run_strategy
+from tests.oracles.kernels import reference_kernels
+from tests.oracles.phase1 import generate_sstables_reference
 
 from conftest import write_artifact, write_bench_json
 
@@ -37,18 +40,23 @@ REPEATS = 3  # best-of timing to damp scheduler noise
 STRATEGY = "SI"
 
 
-def pipeline_pass(config: SimulationConfig):
+def pipeline_pass(config: SimulationConfig, reference: bool):
     """One timed end-to-end pass: phase 1 + a full compaction."""
     started = time.perf_counter()
-    phase1 = generate_sstables(config)
-    result = run_strategy(phase1.tables, STRATEGY, config)
+    if reference:
+        phase1 = generate_sstables_reference(config)
+        with reference_kernels():
+            result = run_strategy(phase1.tables, STRATEGY, config)
+    else:
+        phase1 = generate_sstables(config)
+        result = run_strategy(phase1.tables, STRATEGY, config)
     return time.perf_counter() - started, phase1, result
 
 
-def best_of(config: SimulationConfig):
+def best_of(config: SimulationConfig, reference: bool = False):
     best_seconds, phase1, result = float("inf"), None, None
     for _ in range(REPEATS):
-        seconds, this_phase1, this_result = pipeline_pass(config)
+        seconds, this_phase1, this_result = pipeline_pass(config, reference)
         if seconds < best_seconds:
             best_seconds, phase1, result = seconds, this_phase1, this_result
     return best_seconds, phase1, result
@@ -79,9 +87,7 @@ def test_pipeline_at_least_3x_faster(bench_fast, results_dir):
             operationcount=operationcount,
         )
         fast_seconds, fast_phase1, fast_result = best_of(base)
-        ref_seconds, ref_phase1, ref_result = best_of(
-            replace(base, data_plane="reference")
-        )
+        ref_seconds, ref_phase1, ref_result = best_of(base, reference=True)
         assert_identical((ref_phase1, ref_result), (fast_phase1, fast_result))
         speedup = ref_seconds / fast_seconds
         measured[update_fraction] = {

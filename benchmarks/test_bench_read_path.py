@@ -3,10 +3,10 @@
 PR 6 wires phase 1's READ/SCAN op stream into a measured serving phase.
 This bench pins the batched kernel's win: at figure-7 scale the
 read-heavy preset's op stream, served against phase 1's sstable set,
-must run at least 3x faster through ``serve_reads(kernel="batched")``
-(columnar bloom probes + binary-search gets + windowed scan merges)
-than through the scalar reference (the real engine's ``get``/``scan``
-loop), while producing **identical** hit/miss/probe/amplification
+must run at least 3x faster through ``serve_reads`` (which picks the
+batched kernel: columnar bloom probes + binary-search gets + windowed
+scan merges) than through the scalar reference ``_serve_scalar`` (the
+real engine's ``get``/``scan`` loop), while producing **identical** hit/miss/probe/amplification
 counters.
 
 Blooms and column caches are warmed outside the timed region on both
@@ -32,7 +32,7 @@ np = pytest.importorskip(
 from repro.analysis.tables import format_table
 from repro.scenarios import REGISTRY
 from repro.simulator import generate_sstables, serve_reads
-from repro.simulator.read_path import ReadPhaseResult
+from repro.simulator.read_path import ReadPhaseResult, _serve_scalar
 
 from conftest import write_artifact, write_bench_json
 
@@ -54,12 +54,12 @@ COUNTER_FIELDS = (
 )
 
 
-def best_of_serve(tables, read_ops, kernel: str):
+def best_of_serve(tables, read_ops, serve):
     """Best-of-N timed serving pass; returns (seconds, result)."""
     best_seconds, result = float("inf"), None
     for _ in range(REPEATS):
         started = time.perf_counter()
-        this_result = serve_reads(tables, read_ops, kernel=kernel)
+        this_result = serve(tables, read_ops)
         seconds = time.perf_counter() - started
         if seconds < best_seconds:
             best_seconds, result = seconds, this_result
@@ -87,10 +87,10 @@ def test_batched_serving_at_least_3x_faster(bench_fast, results_dir):
         assert table.columns() is not None
 
     batched_seconds, batched = best_of_serve(
-        phase1.tables, phase1.read_ops, "batched"
+        phase1.tables, phase1.read_ops, serve_reads
     )
     scalar_seconds, scalar = best_of_serve(
-        phase1.tables, phase1.read_ops, "scalar"
+        phase1.tables, phase1.read_ops, _serve_scalar
     )
 
     assert batched.kernel_used == "batched"

@@ -16,10 +16,10 @@ byte-identical for any N (see ``docs/concurrency.md``).  It is the only
 real concurrency in the repo.
 
 ``run`` and ``sweep`` record a schema-versioned manifest under
-``results/runs/`` (disable with ``--no-store``).  The legacy entry
-points — ``python -m repro.simulator`` and
-``python -m repro.analysis.experiments`` — remain as deprecation shims
-with byte-identical stdout.
+``results/runs/`` (disable with ``--no-store``).  ``figures`` is the
+entry point for the paper's evaluation figures and ``run`` for one-off
+simulator comparisons (e.g. ``run churn --strategies SI,RANDOM
+--set k=4``).
 """
 
 from __future__ import annotations
@@ -105,10 +105,6 @@ def _add_common_run_arguments(parser: argparse.ArgumentParser) -> None:
         help="HyperLogLog precision p (registers = 2**p)",
     )
     parser.add_argument(
-        "--data-plane", default=None, choices=["auto", "fast", "reference"],
-        help="simulator data plane override (see docs/simulator.md)",
-    )
-    parser.add_argument(
         "--storage", default=None, choices=["memory", "disk"],
         help="phase-1 sstable storage: 'disk' spills every flushed table "
         "through the on-disk sstable format and reloads it (results are "
@@ -156,8 +152,8 @@ def _add_common_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--verbose",
         action="store_true",
-        help="print execution details (which data plane phase 1 ran on, "
-        "resolved runs/jobs) after the report",
+        help="print execution details (resolved runs/jobs, whether the "
+        "read phase served ops) after the report",
     )
 
 
@@ -167,7 +163,6 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, Any]:
         ("backend", "backend"),
         ("estimator", "estimator"),
         ("hll_precision", "hll_precision"),
-        ("data_plane", "data_plane"),
         ("storage", "storage"),
         ("wal_sync_every", "wal_sync_every"),
         ("num_shards", "num_shards"),
@@ -200,8 +195,7 @@ def _execute(args: argparse.Namespace, scenario: Scenario | str) -> int:
     if args.verbose:
         read_phase = "; read phase: served" if run.read_phase_served else ""
         print(
-            f"\n[data plane: {run.plane_used}; runs={run.runs} "
-            f"jobs={run.jobs}{read_phase}]"
+            f"\n[runs={run.runs} jobs={run.jobs}{read_phase}]"
         )
     if path is not None:
         print(f"\n[manifest written to {path}]")

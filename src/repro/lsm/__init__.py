@@ -36,7 +36,7 @@ from .memtable import (
     make_memtable,
 )
 from .record import ENTRY_OVERHEAD_BYTES, Record
-from .sstable import MERGE_KERNELS, SSTable, TableColumns, merge_sstables, table_from_records
+from .sstable import SSTable, TableColumns, merge_sstables, table_from_records
 from .wal import WriteAheadLog
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "LeveledCompaction",
     "LocalFileSystem",
     "MemoryFileSystem",
-    "MERGE_KERNELS",
     "MajorCompaction",
     "Memtable",
     "ReadStats",

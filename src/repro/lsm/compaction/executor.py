@@ -91,14 +91,8 @@ def execute_schedule(
     lanes: int = 1,
     drop_tombstones: bool = True,
     bloom_fp_rate: float = 0.01,
-    merge_kernel: str = "auto",
 ) -> ExecutionResult:
-    """Execute every merge step; see module docstring for the time model.
-
-    ``merge_kernel`` is forwarded to every
-    :func:`~repro.lsm.sstable.merge_sstables` call (``"auto"`` /
-    ``"columnar"`` / ``"heap"``; the kernels are bit-identical).
-    """
+    """Execute every merge step; see module docstring for the time model."""
     if lanes < 1:
         raise CompactionError(f"lanes must be >= 1, got {lanes}")
     n_initial = schedule.n_initial
@@ -137,7 +131,6 @@ def execute_schedule(
             new_table_id=next_table_id + index,
             drop_tombstones=dropping,
             bloom_fp_rate=bloom_fp_rate,
-            kernel=merge_kernel,
         )
         merge_wall += time.perf_counter() - merge_started
         live[step.output] = output

@@ -42,7 +42,6 @@ class LeveledCompaction(CompactionStrategy):
         fanout: int = 10,
         level0_threshold: int = 4,
         bloom_fp_rate: float = 0.01,
-        merge_kernel: str = "auto",
     ) -> None:
         if table_target_entries < 1 or base_level_entries < 1:
             raise ValueError("table and level targets must be positive")
@@ -55,7 +54,6 @@ class LeveledCompaction(CompactionStrategy):
         self.fanout = fanout
         self.level0_threshold = level0_threshold
         self.bloom_fp_rate = bloom_fp_rate
-        self.merge_kernel = merge_kernel
         self.name = f"leveled(target={table_target_entries}, fanout={fanout})"
 
     def _level_capacity(self, level: int) -> int:
@@ -109,7 +107,6 @@ class LeveledCompaction(CompactionStrategy):
                 new_table_id=next_table_id,
                 drop_tombstones=bottommost,
                 bloom_fp_rate=self.bloom_fp_rate,
-                kernel=self.merge_kernel,
             )
             next_table_id += 1
             outputs = split_records(list(merged.records), next_table_id)

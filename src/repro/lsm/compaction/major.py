@@ -67,7 +67,6 @@ class MajorCompaction(CompactionStrategy):
         bloom_fp_rate: float = 0.01,
         backend: str = "frozenset",
         estimator: "EstimatorSpec" = None,
-        merge_kernel: str = "auto",
         **policy_kwargs,
     ) -> None:
         self.policy_name = canonical_policy_name(policy)
@@ -86,7 +85,6 @@ class MajorCompaction(CompactionStrategy):
         self.seed = seed
         self.drop_tombstones = drop_tombstones
         self.bloom_fp_rate = bloom_fp_rate
-        self.merge_kernel = merge_kernel
         self.policy_kwargs = policy_kwargs
         self.name = f"major({self.policy_name}, k={k})"
 
@@ -168,7 +166,6 @@ class MajorCompaction(CompactionStrategy):
             lanes=self.lanes,
             drop_tombstones=self.drop_tombstones,
             bloom_fp_rate=self.bloom_fp_rate,
-            merge_kernel=self.merge_kernel,
         )
         return CompactionResult(
             strategy_name=self.name,

@@ -37,7 +37,6 @@ class SizeTieredCompaction(CompactionStrategy):
         bucket_high: float = 1.5,
         until_single: bool = True,
         bloom_fp_rate: float = 0.01,
-        merge_kernel: str = "auto",
     ) -> None:
         if min_threshold < 2:
             raise ValueError("min_threshold must be at least 2")
@@ -51,7 +50,6 @@ class SizeTieredCompaction(CompactionStrategy):
         self.bucket_high = bucket_high
         self.until_single = until_single
         self.bloom_fp_rate = bloom_fp_rate
-        self.merge_kernel = merge_kernel
         self.name = f"size_tiered(min={min_threshold}, max={max_threshold})"
 
     # ------------------------------------------------------------------
@@ -106,7 +104,6 @@ class SizeTieredCompaction(CompactionStrategy):
                 new_table_id=next_table_id,
                 drop_tombstones=drop,
                 bloom_fp_rate=self.bloom_fp_rate,
-                kernel=self.merge_kernel,
             )
             next_table_id += 1
             for table in group:

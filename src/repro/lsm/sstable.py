@@ -45,9 +45,6 @@ except ImportError:  # pragma: no cover - exercised on numpy-less installs
 
 DEFAULT_INDEX_INTERVAL = 16
 
-#: ``merge_sstables`` kernel names.
-MERGE_KERNELS = ("auto", "columnar", "heap")
-
 
 @dataclass(frozen=True)
 class TableColumns:
@@ -501,7 +498,6 @@ def merge_sstables(
     new_table_id: int,
     drop_tombstones: bool = False,
     bloom_fp_rate: float = 0.01,
-    kernel: str = "auto",
 ) -> SSTable:
     """K-way merge-sort of sstables, keeping the newest record per key.
 
@@ -509,40 +505,36 @@ def merge_sstables(
     only valid when the output is the bottommost table for its keys
     (e.g. the final output of a major compaction).
 
-    ``kernel`` selects the merge implementation: ``"auto"`` (columnar
-    whenever every input exposes int64 columns and numpy is available,
-    heap otherwise), ``"columnar"`` (force; raises when unavailable) or
-    ``"heap"`` (the reference).  Both kernels produce bit-identical
-    tables.
+    The columnar kernel runs whenever numpy is importable and every
+    input exposes int64 columns (:meth:`SSTable.columns` is not
+    ``None``); otherwise — no numpy, non-int keys or payload bytes — the
+    heap kernel does.  Both produce bit-identical tables.
     """
-    if kernel not in MERGE_KERNELS:
-        raise StorageError(
-            f"unknown merge kernel {kernel!r}; available: {MERGE_KERNELS}"
-        )
     if not tables:
         raise StorageError("cannot merge zero sstables")
     if len(tables) == 1 and not drop_tombstones:
         return tables[0]
-
-    if kernel != "heap":
-        columns = (
-            [table.columns() for table in tables] if _np is not None else None
-        )
-        if columns is not None and all(
-            column is not None for column in columns
-        ):
+    if _np is not None:
+        columns = [table.columns() for table in tables]
+        if all(column is not None for column in columns):
             return _merge_columnar(
                 columns, new_table_id, drop_tombstones, bloom_fp_rate
             )
-        if kernel == "columnar":
-            raise StorageError(
-                "columnar merge kernel requires numpy and int64-representable "
-                "tables (plain int keys, no payload bytes)"
-            )
+    return _merge_heap(tables, new_table_id, drop_tombstones, bloom_fp_rate)
 
-    # K-way merge of the sorted runs.  heapq.merge keeps the heap logic
-    # in C; the (key, -seqno) sort key pops equal keys newest-first so
-    # the first record seen per key is the survivor.
+
+def _merge_heap(
+    tables: Sequence[SSTable],
+    new_table_id: int,
+    drop_tombstones: bool,
+    bloom_fp_rate: float,
+) -> SSTable:
+    """K-way merge of the sorted record runs (the numpy-free kernel).
+
+    ``heapq.merge`` keeps the heap logic in C; the (key, -seqno) sort
+    key pops equal keys newest-first so the first record seen per key
+    is the survivor.
+    """
     streams = [table.records for table in tables]
     merged: list[Record] = []
     append = merged.append

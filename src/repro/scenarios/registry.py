@@ -5,11 +5,7 @@ fig9a/fig9b), the distribution and related-work ablations, workload
 presets the legacy drivers could not express at all (read-heavy,
 scan-heavy time-series, shrinking-key-space churn), the six canonical
 YCSB core workloads A-F, and kernel-knob sweeps (merge fan-in k, HLL
-precision).  Every entry runs the fast columnar data plane under
-``data_plane="auto"`` (asserted registry-wide by
-tests/scenarios/test_registry.py; a scenario that genuinely needs the
-operation-at-a-time loop must carry the ``reference-only`` tag).
-User code registers additional scenarios with
+precision).  User code registers additional scenarios with
 ``REGISTRY.register(Scenario(...))`` or loads them from JSON specs via
 ``Scenario.from_dict``.
 """
@@ -235,9 +231,8 @@ def _ycsb_scenarios() -> list[Scenario]:
     ``SimulationConfig``'s mix fields (``update_fraction`` is the update
     share of the *write* slice, so a pure read/update mix sets it to
     1.0).  Workload F's read-modify-write is modeled as an update — the
-    write half is what reaches the storage engine.  All six run the
-    columnar fast plane; reads and scans consume the rng stream and are
-    dropped before the memtable, exactly like the reference loop.
+    write half is what reaches the storage engine.  Reads and scans
+    consume the rng stream and are dropped before the memtable.
     """
     base = dict(
         recordcount=1000,

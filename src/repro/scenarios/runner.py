@@ -21,7 +21,6 @@ from typing import Any, Mapping, Optional, Sequence, Union
 from ..errors import ScenarioError
 from ..simulator.config import SimulationConfig
 from ..simulator.metrics import AggregateResult
-from ..simulator.phase1 import resolve_plane
 from ..simulator.runner import (
     ComparisonResult,
     SweepResult,
@@ -244,17 +243,6 @@ class ScenarioRun:
     results: dict[str, Union[SweepResult, ComparisonResult]]
 
     @property
-    def plane_used(self) -> str:
-        """The data plane phase 1 ran on ("fast" or "reference").
-
-        Resolved from the run's base config; per-point resolution lives
-        on each :meth:`cells` row, so a plane flip inside a sweep (none
-        of the registered parameters can cause one today) would still be
-        recorded faithfully.
-        """
-        return resolve_plane(self.config)
-
-    @property
     def read_phase_served(self) -> bool:
         """True when at least one cell replayed reads/scans (serving phase)."""
         return any(
@@ -274,7 +262,6 @@ class ScenarioRun:
         for distribution, result in self.results.items():
             if isinstance(result, SweepResult):
                 for point in result.points:
-                    plane = resolve_plane(point.config)
                     for label in result.labels:
                         rows.append(
                             {
@@ -286,21 +273,16 @@ class ScenarioRun:
                                 # fractions, not percentages.
                                 "parameter": result.parameter,
                                 "x": point.x,
-                                "plane_used": plane,
                                 **_cell_metrics(point.per_strategy[label]),
                             }
                         )
             else:
-                # Plane eligibility never depends on the distribution,
-                # so the base config's resolution covers every leg.
-                plane = self.plane_used
                 for label, agg in result.per_strategy.items():
                     rows.append(
                         {
                             "distribution": distribution,
                             "parameter": None,
                             "x": None,
-                            "plane_used": plane,
                             **_cell_metrics(agg),
                         }
                     )
@@ -311,8 +293,8 @@ class ScenarioRun:
         scenario = self.scenario
         lines = [
             f"== {scenario.name}: {scenario.title} ==",
-            f"spec {scenario.spec_hash()}  runs={self.runs} jobs={self.jobs} "
-            f"plane={self.plane_used}" + ("  [fast]" if self.fast else ""),
+            f"spec {scenario.spec_hash()}  runs={self.runs} jobs={self.jobs}"
+            + ("  [fast]" if self.fast else ""),
             f"config: {self.config.describe()}",
             "",
         ]

@@ -87,10 +87,6 @@ class RunManifest:
     created_at: str
     cells: list[dict[str, Any]]
     git: Optional[str] = None
-    #: Data plane phase 1 ran on ("fast"/"reference"); None in manifests
-    #: written before the field existed.  Per-cell resolution lives on
-    #: each ``cells`` row under the same key.
-    plane_used: Optional[str] = None
     schema_version: int = SCHEMA_VERSION
     path: Optional[Path] = field(default=None, compare=False)
 
@@ -110,7 +106,6 @@ class RunManifest:
             "fast": self.fast,
             "created_at": self.created_at,
             "git": self.git,
-            "plane_used": self.plane_used,
             "cells": self.cells,
         }
 
@@ -139,7 +134,6 @@ class ResultsStore:
             fast=run.fast,
             created_at=created_at,
             git=git_describe(),
-            plane_used=run.plane_used,
             cells=run.cells(),
         )
         directory = self.root / scenario.name
@@ -187,7 +181,6 @@ class ResultsStore:
                 fast=document["fast"],
                 created_at=document["created_at"],
                 git=document.get("git"),
-                plane_used=document.get("plane_used"),
                 cells=document["cells"],
                 schema_version=version,
                 path=path,

@@ -10,14 +10,7 @@ regenerate the paper's figures.
 
 from .config import SimulationConfig
 from .metrics import AggregateResult, StrategyResult, aggregate
-from .phase1 import (
-    Phase1Result,
-    fast_plane_eligible,
-    generate_sstables,
-    generate_sstables_fast,
-    generate_sstables_reference,
-    resolve_plane,
-)
+from .phase1 import Phase1Result, generate_sstables
 from .phase2 import (
     PAPER_STRATEGIES,
     PRACTICAL_STRATEGIES,
@@ -26,7 +19,7 @@ from .phase2 import (
     run_strategy,
     strategy_labels,
 )
-from .read_path import READ_KERNELS, ReadPhaseResult, serve_reads
+from .read_path import ReadPhaseResult, serve_reads
 from .runner import (
     ComparisonResult,
     SweepPoint,
@@ -47,7 +40,6 @@ __all__ = [
     "PAPER_STRATEGIES",
     "PRACTICAL_STRATEGIES",
     "Phase1Result",
-    "READ_KERNELS",
     "ReadPhaseResult",
     "SimulationConfig",
     "StrategyResult",
@@ -55,12 +47,8 @@ __all__ = [
     "SweepResult",
     "aggregate",
     "build_strategy",
-    "fast_plane_eligible",
     "generate_sstables",
-    "generate_sstables_fast",
-    "generate_sstables_reference",
     "known_strategy_labels",
-    "resolve_plane",
     "run_comparison",
     "run_strategy",
     "serve_reads",

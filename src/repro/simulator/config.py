@@ -30,6 +30,7 @@ RETIRED_FIELDS: dict[str, tuple[Any, str]] = {
     "write_pipeline": (False, "concurrent write pipeline"),
     "max_immutable_memtables": (2, "concurrent write pipeline"),
     "flush_workers": (0, "concurrent write pipeline"),
+    "data_plane": ("auto", "data-plane choice"),
 }
 
 
@@ -72,14 +73,6 @@ class SimulationConfig:
     # "SO" and "BT(O)" labels): "hll" is the paper's practical scheme,
     # "exact" the reference.  "SO(exact)" ignores this and stays exact.
     estimator: str = "hll"
-    # Simulator data plane.  "auto" runs phase 1 through the batched
-    # columnar pipeline and compaction merges through the columnar
-    # kernel — every expressible configuration is eligible (map mode and
-    # read/scan/delete mixes included; bit-identical to the reference,
-    # see docs/simulator.md) — "fast" requires it (raising on the
-    # exceptional ineligible shapes), "reference" forces the
-    # operation-at-a-time engine loop and the heap merge kernel.
-    data_plane: str = "auto"
     # Phase-1 sstable storage: "memory" (the default — tables live as
     # Python objects, all goldens byte-identical) or "disk" (every
     # flushed table is spilled through the on-disk sstable format and
@@ -121,11 +114,6 @@ class SimulationConfig:
             raise ConfigError(
                 f"hll_precision must be in [{MIN_PRECISION}, {MAX_PRECISION}], "
                 f"got {self.hll_precision}"
-            )
-        if self.data_plane not in ("auto", "fast", "reference"):
-            raise ConfigError(
-                f"data_plane must be 'auto', 'fast' or 'reference', "
-                f"got {self.data_plane!r}"
             )
         if self.storage not in ("memory", "disk"):
             raise ConfigError(
@@ -287,8 +275,6 @@ class SimulationConfig:
             value = getattr(self, name)
             if value:
                 parts.append(f"{name.split('_')[0]}={value:.0%}")
-        if self.data_plane != "auto":
-            parts.append(f"data_plane={self.data_plane}")
         if self.storage != "memory":
             parts.append(f"storage={self.storage}")
         if self.num_shards > 1:

@@ -5,38 +5,27 @@ into a fixed size (number of keys) memtable.  When the memtable is full,
 it is flushed as an sstable and a new empty memtable is created for
 subsequent writes." (paper §5.1)
 
-Two data planes produce bit-identical sstables:
+The workload emits its whole operation stream as columns
+(:meth:`~repro.ycsb.workload.CoreWorkload.op_stream_columns`, which
+vectorizes the Gray-sampling choosers and drops read/scan ops after
+consuming their rng draws).  The write stream is cut into flush slabs —
+static ``capacity``-sized ranges in append mode (capacity counts
+operations) or **data-dependent** ranges in map mode (capacity counts
+distinct keys; a chunked running distinct-count kernel finds the exact
+operation index of every flush) — and each slab is deduplicated to a
+sorted newest-per-key run with one argsort: an array-native
+:class:`~repro.lsm.sstable.SSTable` per flush, no ``Operation``/``Record``
+objects, no per-op engine dispatch.  Without numpy the same slabs fill
+the mode's :class:`~repro.lsm.memtable.Memtable` through one
+``add_batch`` call each, reusing the engine's dedup code, and the
+map-mode boundaries come from
+:func:`~repro.lsm.memtable.distinct_capacity_boundaries`.
 
-* **reference** — drive the real LSM engine's write path operation by
-  operation (WAL disabled; the paper's simulator has none) and collect
-  the flushed sstables.
-* **fast** — the batched columnar pipeline: the workload emits its
-  whole operation stream as columns
-  (:meth:`~repro.ycsb.workload.CoreWorkload.op_stream_columns`, which
-  vectorizes the Gray-sampling choosers and drops read/scan ops after
-  consuming their rng draws), the write stream is cut into flush slabs —
-  static ``capacity``-sized ranges in append mode (capacity counts
-  operations) or **data-dependent** ranges in map mode (capacity counts
-  distinct keys; a chunked running distinct-count kernel finds the
-  exact operation index of every flush) — and each slab is deduplicated
-  to a sorted newest-per-key run with one argsort: an array-native
-  :class:`~repro.lsm.sstable.SSTable` per flush, no
-  ``Operation``/``Record`` objects, no per-op engine dispatch.  Without
-  numpy the same slabs fill the mode's
-  :class:`~repro.lsm.memtable.Memtable` through one ``add_batch`` call
-  each, reusing the engine's dedup code, and the map-mode boundaries
-  come from :func:`~repro.lsm.memtable.distinct_capacity_boundaries`.
-
-``config.data_plane`` selects the plane; ``"auto"`` uses the fast plane
-for **every** expressible configuration — map mode and read/scan/delete
-mixes included — so the reference loop only runs when forced
-(``data_plane="reference"``) or for workload subclasses that remap
-``key_name``.  :func:`resolve_plane` answers which plane a config will
-use without running it, and every :class:`Phase1Result` records the
-plane that actually produced it (``plane_used``), so a fallback can
-never masquerade as a fast run.  The differential harness
-(tests/simulator/test_data_plane_equivalence.py) holds the two planes
-byte-identical.
+The tables are bit-identical to driving the real LSM engine operation by
+operation (WAL disabled; the paper's simulator has none).  That loop is
+the test oracle in ``tests/oracles/phase1.py``; the differential
+harness under ``tests/simulator/`` holds the two byte-identical, with
+numpy and without it.
 """
 
 from __future__ import annotations
@@ -45,13 +34,9 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Optional
 
-from ..errors import ConfigError
-from ..lsm.disk import SimulatedDisk
-from ..lsm.engine import EngineConfig, LSMEngine
 from ..lsm.memtable import distinct_capacity_boundaries, make_memtable
 from ..lsm.record import Record
 from ..lsm.sstable import SSTable
-from ..ycsb.operations import OperationType
 from ..ycsb.workload import CoreWorkload, ReadOpColumns
 from .config import SimulationConfig
 
@@ -73,16 +58,16 @@ class Phase1Result:
     tables: list[SSTable]
     total_operations: int
     total_entries: int  # sum of sstable entry counts = the LOPT of Fig. 8
-    #: Which data plane actually produced the tables ("fast" or
-    #: "reference") — surfaced in run manifests and ``--verbose`` CLI
-    #: output so a quiet fallback is always observable.
-    plane_used: str = "reference"
-    #: The READ/SCAN operations of the stream, collected (by either
-    #: plane, in identical columns) whenever the mix has a read or scan
-    #: share — the serving phase replays them against each policy's
-    #: compacted sstable set.  ``None`` for write-only mixes.
+    #: The pipeline that produced the tables; always "fast" here (the
+    #: op-at-a-time test oracle reports "reference").  Benchmark
+    #: harnesses record it.
+    plane_used: str = "fast"
+    #: The READ/SCAN operations of the stream, collected whenever the
+    #: mix has a read or scan share — the serving phase replays them
+    #: against each policy's compacted sstable set.  ``None`` for
+    #: write-only mixes.
     read_ops: Optional[ReadOpColumns] = None
-    #: Wall clock of table generation on either plane.
+    #: Wall clock of table generation.
     ingest_wall_seconds: float = 0.0
 
     @property
@@ -90,54 +75,30 @@ class Phase1Result:
         return len(self.tables)
 
 
-def fast_plane_eligible(config: SimulationConfig) -> bool:
-    """True when the batched pipeline applies to ``config``.
-
-    Since the map-mode slab cutter and the mix-aware op stream landed
-    this is every expressible :class:`SimulationConfig`; only a
-    :class:`~repro.ycsb.workload.CoreWorkload` subclass remapping
-    ``key_name`` (not reachable through a config) needs the reference
-    loop.  Kept as a real check so the registry-wide eligibility test
-    and :func:`resolve_plane` stay honest if either layer grows a new
-    ineligible shape.
-    """
-    if config.memtable_mode not in ("append", "map"):
-        return False
-    return CoreWorkload(config.workload_config()).supports_op_stream()
-
-
-def resolve_plane(config: SimulationConfig) -> str:
-    """The plane :func:`generate_sstables` will use: "fast" or "reference".
-
-    Pure function of the config — scenario manifests record it without
-    running anything.
-    """
-    if config.data_plane == "reference":
-        return "reference"
-    return "fast" if fast_plane_eligible(config) else "reference"
-
-
 def generate_sstables(config: SimulationConfig) -> Phase1Result:
     """Run load + run phases through a memtable; return the flushed tables.
 
     Reads never reach the memtable ("Thus, we ignore both of them in our
-    simulation", §5.1) — both planes drop them after consuming their rng
-    draws, so mixes with reads/scans still produce identical sstables.
+    simulation", §5.1) — they are dropped after consuming their rng
+    draws, so mixes with reads/scans still produce the sstables of their
+    write stream.
     """
-    if resolve_plane(config) == "fast":
-        result = generate_sstables_fast(config)
-    elif config.data_plane == "fast":
-        raise ConfigError(
-            "data_plane='fast' requires an 'append' or 'map' memtable mode "
-            "and a workload with the identity key_name"
-        )
-    else:
-        result = generate_sstables_reference(config)
+    workload = CoreWorkload(config.workload_config())
+    stream = workload.op_stream_columns(include_read_ops=_wants_read_ops(config))
+    ingest_start = perf_counter()
+    tables = build_tables_from_columns(
+        stream.write_keynums, stream.tombstone_positions, config
+    )
+    ingest_wall = perf_counter() - ingest_start
     if config.storage == "disk":
-        result.tables = spill_tables_to_disk(
-            result.tables, wal_sync_every=config.wal_sync_every
-        )
-    return result
+        tables = spill_tables_to_disk(tables, wal_sync_every=config.wal_sync_every)
+    return Phase1Result(
+        tables=tables,
+        total_operations=stream.total_operations,
+        total_entries=sum(table.entry_count for table in tables),
+        read_ops=stream.read_ops,
+        ingest_wall_seconds=ingest_wall,
+    )
 
 
 def spill_tables_to_disk(
@@ -190,75 +151,10 @@ def _wants_read_ops(config: SimulationConfig) -> bool:
     return config.read_fraction > 0.0 or config.scan_fraction > 0.0
 
 
-def generate_sstables_reference(config: SimulationConfig) -> Phase1Result:
-    """The operation-at-a-time plane: drive the real LSM engine."""
-    workload = CoreWorkload(config.workload_config())
-    engine_config = EngineConfig(
-        memtable_capacity=config.memtable_capacity,
-        memtable_mode=config.memtable_mode,
-        bloom_fp_rate=config.bloom_fp_rate,
-        default_value_size=config.value_size,
-        use_wal=False,
-    )
-    engine = LSMEngine(engine_config, SimulatedDisk(config.timing_model()))
-    collect = _wants_read_ops(config)
-    read_keynums: list[int] = []
-    scan_keynums: list[int] = []
-    scan_lengths: list[int] = []
-    count = 0
-    ingest_start = perf_counter()
-    for operation in workload.all_operations():
-        if operation.is_write:
-            engine.apply(operation)
-        elif collect:
-            if operation.type is OperationType.READ:
-                read_keynums.append(operation.key)
-            elif operation.type is OperationType.SCAN:
-                scan_keynums.append(operation.key)
-                scan_lengths.append(operation.scan_length or 1)
-        count += 1
-    engine.flush()
-    ingest_wall = perf_counter() - ingest_start
-    tables = list(engine.sstables)
-    return Phase1Result(
-        tables=tables,
-        total_operations=count,
-        total_entries=sum(table.entry_count for table in tables),
-        plane_used="reference",
-        read_ops=ReadOpColumns(
-            read_keynums=read_keynums,
-            scan_keynums=scan_keynums,
-            scan_lengths=scan_lengths,
-        )
-        if collect
-        else None,
-        ingest_wall_seconds=ingest_wall,
-    )
-
-
-def generate_sstables_fast(config: SimulationConfig) -> Phase1Result:
-    """The batched columnar plane; bit-identical to the reference."""
-    workload = CoreWorkload(config.workload_config())
-    stream = workload.op_stream_columns(include_read_ops=_wants_read_ops(config))
-    ingest_start = perf_counter()
-    tables = build_tables_from_columns(
-        stream.write_keynums, stream.tombstone_positions, config
-    )
-    ingest_wall = perf_counter() - ingest_start
-    return Phase1Result(
-        tables=tables,
-        total_operations=stream.total_operations,
-        total_entries=sum(table.entry_count for table in tables),
-        plane_used="fast",
-        read_ops=stream.read_ops,
-        ingest_wall_seconds=ingest_wall,
-    )
-
-
 def build_tables_from_columns(
     keynums, tombstone_positions, config: SimulationConfig
 ) -> list[SSTable]:
-    """Flush a write column into sstables exactly like the fast plane.
+    """Flush a write column into sstables exactly like phase 1.
 
     The sharded engine feeds each shard's write column through this with
     shard-local indices, so per-shard seqnos restart at 1 — each shard

@@ -72,14 +72,8 @@ def build_strategy(
     seed: Optional[int] = None,
 ) -> CompactionStrategy:
     """Instantiate the compaction strategy behind a label."""
-    # The reference data plane pins the heap merge kernel on every
-    # strategy so differential timings compare the pre-vectorization
-    # path end to end; the kernels are bit-identical either way.
-    merge_kernel = "heap" if config.data_plane == "reference" else "auto"
     if label == "STCS":
-        return SizeTieredCompaction(
-            bloom_fp_rate=config.bloom_fp_rate, merge_kernel=merge_kernel
-        )
+        return SizeTieredCompaction(bloom_fp_rate=config.bloom_fp_rate)
     if label == "LEVELED":
         # Size the level targets off the memtable so the shape scales
         # with the workload (matches the related-work bench settings at
@@ -88,7 +82,6 @@ def build_strategy(
             table_target_entries=config.memtable_capacity,
             base_level_entries=4 * config.memtable_capacity,
             bloom_fp_rate=config.bloom_fp_rate,
-            merge_kernel=merge_kernel,
         )
     try:
         policy, parallel = PAPER_STRATEGIES[label]
@@ -110,7 +103,6 @@ def build_strategy(
         seed=seed if seed is not None else config.seed,
         backend=config.backend,
         estimator=estimator,
-        merge_kernel=merge_kernel,
         **kwargs,
     )
 
@@ -136,11 +128,7 @@ def run_strategy(
     result = strategy.compact(tables, disk, next_table_id=10_000_000)
     read_metrics: dict = {}
     if read_ops is not None and read_ops.has_ops:
-        # The reference plane pins the scalar engine end to end, exactly
-        # like it pins the heap merge kernel; both kernels are
-        # bit-identical (tests/simulator/test_read_path.py).
-        kernel = "scalar" if config.data_plane == "reference" else "auto"
-        served = serve_reads(result.output_tables, read_ops, kernel=kernel)
+        served = serve_reads(result.output_tables, read_ops)
         read_metrics = dict(
             reads=served.reads,
             scans=served.scans,

@@ -14,16 +14,16 @@ Two kernels, differentially certified bit-identical:
 * **scalar** — the reference: an :class:`~repro.lsm.engine.LSMEngine`
   with an empty memtable serves every op through its ordinary
   ``get``/``scan`` path, and the result is its ``ReadStats``.
-* **batched** — the fast plane: point lookups run columnar over all
+* **batched** — point lookups run columnar over all
   queries at once (range masks + :meth:`BloomFilter.contains_batch` +
   :meth:`SSTable.get_batch`, tables newest to oldest, resolving queries
   as they hit), and each scan resolves its stop key with a windowed
   ``lexsort`` merge before charging the consumed slices in bulk.
 
-``kernel="auto"`` uses the batched plane whenever numpy is available
-and every table exposes an int64 column view, falling back to the
-scalar engine otherwise; ``"batched"`` requires it and raises when
-unavailable.
+:func:`serve_reads` uses the batched kernel whenever numpy is
+importable and every table exposes an int64 column view
+(:meth:`SSTable.columns` is not ``None``), and the scalar engine
+otherwise; :attr:`ReadPhaseResult.kernel_used` says which one ran.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..errors import ConfigError
 from ..lsm.disk import SimulatedDisk
 from ..lsm.engine import _INDEX_BLOCK_BYTES, EngineConfig, LSMEngine
 from ..lsm.record import ENTRY_OVERHEAD_BYTES
@@ -42,9 +41,6 @@ try:  # optional acceleration; the scalar engine needs no numpy
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised on numpy-less installs
     _np = None
-
-#: ``serve_reads`` kernel names.
-READ_KERNELS = ("auto", "batched", "scalar")
 
 #: The windowed scan resolver's smallest per-table slice; windows grow
 #: geometrically from here, so short scans over heavily-shadowed ranges
@@ -100,27 +96,16 @@ class ReadPhaseResult:
 def serve_reads(
     tables: Sequence[SSTable],
     read_ops: ReadOpColumns,
-    kernel: str = "auto",
 ) -> ReadPhaseResult:
     """Replay ``read_ops`` against ``tables`` and account the cost.
 
     Both kernels produce identical counts; the differential harness in
     tests/simulator/test_read_path.py enforces it.
     """
-    if kernel not in READ_KERNELS:
-        raise ConfigError(
-            f"unknown read kernel {kernel!r}; available: {READ_KERNELS}"
-        )
-    if kernel != "scalar":
-        result = _serve_batched(tables, read_ops)
-        if result is not None:
-            return result
-        if kernel == "batched":
-            raise ConfigError(
-                "batched read kernel requires numpy and int64-representable "
-                "tables (plain int keys, no payload bytes)"
-            )
-    return _serve_scalar(tables, read_ops)
+    result = _serve_batched(tables, read_ops)
+    if result is None:
+        result = _serve_scalar(tables, read_ops)
+    return result
 
 
 def _serve_scalar(

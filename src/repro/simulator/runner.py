@@ -251,7 +251,7 @@ def sweep_memtable_capacity(
 
     ``backend=None`` keeps the config default (frozenset).  When
     ``base`` is given, every point derives from it (keeping its
-    estimator/data-plane/... fields) with only the capacity and the
+    estimator/storage/... fields) with only the capacity and the
     implied ``operationcount = capacity * n_sstables - recordcount``
     replaced — the scenario layer's path; ``distribution``/``seed``/
     ``backend`` are then ignored.  A ``base`` equal to

@@ -211,47 +211,17 @@ class CoreWorkload:
         yield from self.run_operations()
 
     # ------------------------------------------------------------------
-    # Columnar op stream (the simulator's batched data plane)
+    # Columnar op stream (the simulator's phase 1)
     # ------------------------------------------------------------------
     def supports_op_stream(self) -> bool:
         """True when :meth:`op_stream_columns` can replace the op loop.
 
         Every built-in mix (reads, scans and deletes included) and every
         distribution qualifies; only a subclass overriding ``key_name``
-        (whose mapped keys need ``Operation`` objects) forces the
-        operation-at-a-time reference loop.
+        (whose mapped keys need ``Operation`` objects) must use
+        :meth:`all_operations`.
         """
         return self.__class__.key_name is CoreWorkload.key_name
-
-    def supports_write_stream(self) -> bool:
-        """True when :meth:`write_stream_columns` can replace the op loop.
-
-        The historical writes-only contract of ``write_stream_columns``;
-        mixes with reads or scans use :meth:`op_stream_columns`, which
-        consumes (and drops) their rng draws itself.
-        """
-        return (
-            self.config.read_proportion == 0.0
-            and self.config.scan_proportion == 0.0
-            and self.supports_op_stream()
-        )
-
-    def write_stream_columns(self) -> tuple[Sequence[int], list[int]]:
-        """Load + run phases as flat key columns, no ``Operation`` objects.
-
-        Returns ``(keynums, tombstone_positions)`` where ``keynums[i]``
-        is the key of the ``i``-th write (seqno ``i + 1``) and
-        ``tombstone_positions`` lists the indices that are deletes.
-        Kept for writes-only callers; the full mix-aware stream is
-        :meth:`op_stream_columns`.
-        """
-        if not self.supports_write_stream():
-            raise WorkloadError(
-                "write_stream_columns requires a writes-only mix and the "
-                "identity key_name; use op_stream_columns instead"
-            )
-        stream = self.op_stream_columns()
-        return stream.write_keynums, stream.tombstone_positions
 
     def op_stream_columns(
         self, include_read_ops: bool = False

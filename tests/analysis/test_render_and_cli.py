@@ -1,8 +1,7 @@
-"""Tests for the schedule renderer and the simulator CLI."""
+"""Tests for the schedule renderer."""
 
 from repro.analysis import render_schedule
 from repro.core import MergeInstance, merge_with
-from repro.simulator.__main__ import main as simulator_main
 from tests.helpers import worked_example
 
 
@@ -31,35 +30,3 @@ class TestRenderSchedule:
         inst = MergeInstance.from_iterables([{1, 2}])
         text = render_schedule(MergeSchedule(1, []), inst)
         assert text == "A1 {1, 2}"
-
-
-class TestSimulatorCli:
-    def test_tiny_run(self, capsys):
-        code = simulator_main(
-            [
-                "--recordcount", "100",
-                "--operationcount", "500",
-                "--memtable", "100",
-                "--runs", "1",
-                "--strategies", "SI,RANDOM",
-                "--update-fraction", "0.5",
-            ]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "SI" in output and "RANDOM" in output
-        assert "cost/LOPT" in output
-
-    def test_kway_flag(self, capsys):
-        code = simulator_main(
-            [
-                "--recordcount", "100",
-                "--operationcount", "300",
-                "--memtable", "50",
-                "--runs", "1",
-                "--k", "4",
-                "--strategies", "SI",
-            ]
-        )
-        assert code == 0
-        assert "k=4" in capsys.readouterr().out

@@ -4,7 +4,8 @@
 list-schedules the steps onto simulated lanes.  Over hypothesis-generated
 valid schedules these tests pin:
 
-* the output is the newest-live fold of the inputs, for every kernel;
+* the output is the newest-live fold of the inputs, for both merge
+  kernels (the heap kernel forced by ``tests/oracles/kernels.py``);
 * the cost and byte metrics are exactly the per-step sums of a replay;
 * the output's cached sketch equals a sketch built fresh from its keys;
 * the simulated makespan lies between the critical path and the serial
@@ -16,6 +17,7 @@ valid schedules these tests pin:
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from repro.core import MergeSchedule, MergeStep
 from repro.errors import CompactionError
 from repro.lsm import Record, SSTable, SimulatedDisk, execute_schedule
 from repro.lsm.sstable import merge_sstables
+from tests.oracles.kernels import reference_kernels
 
 try:
     import numpy  # noqa: F401
@@ -85,10 +88,13 @@ def newest_live_fold(tables, drop_tombstones):
     ]
 
 
-def run(tables, schedule, lanes=1, **kwargs):
-    return execute_schedule(
-        tables, schedule, SimulatedDisk(), next_table_id=100, lanes=lanes, **kwargs
-    )
+def run(tables, schedule, lanes=1, kernel="columnar", **kwargs):
+    """Execute ``schedule``; ``kernel="heap"`` forces the numpy-free merge."""
+    with reference_kernels() if kernel == "heap" else nullcontext():
+        return execute_schedule(
+            tables, schedule, SimulatedDisk(), next_table_id=100, lanes=lanes,
+            **kwargs,
+        )
 
 
 class TestOutput:
@@ -107,7 +113,7 @@ class TestOutput:
             seed=seed,
             tombstone_rate=0.3 if with_tombstones else 0.0,
         )
-        result = run(tables, schedule, merge_kernel=kernel)
+        result = run(tables, schedule, kernel=kernel)
         assert list(result.output_table.records) == newest_live_fold(
             tables, drop_tombstones=True
         )
@@ -145,8 +151,8 @@ class TestOutput:
             seed=seed,
             tombstone_rate=0.3 if with_tombstones else 0.0,
         )
-        heap = run(tables, schedule, lanes=2, merge_kernel="heap")
-        columnar = run(tables, schedule, lanes=2, merge_kernel="columnar")
+        heap = run(tables, schedule, lanes=2, kernel="heap")
+        columnar = run(tables, schedule, lanes=2, kernel="columnar")
         assert columnar.output_table.records == heap.output_table.records
         assert columnar.cost_actual_entries == heap.cost_actual_entries
         assert columnar.cost_simplified_entries == heap.cost_simplified_entries

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.lsm import Record, SSTable, merge_sstables, table_from_records
+from repro.lsm.sstable import _merge_heap
 
 
 def make_table(table_id, keys, seqno_start=1, tombstones=(), value_size=100):
@@ -279,12 +280,8 @@ class TestMergeKernels:
     @pytest.mark.parametrize("drop", [False, True])
     @pytest.mark.parametrize("tombstones", [(), (3, 8)])
     def test_columnar_equals_heap(self, drop, tombstones):
-        columnar = merge_sstables(
-            self.tables(tombstones), 99, drop_tombstones=drop, kernel="columnar"
-        )
-        heap = merge_sstables(
-            self.tables(tombstones), 99, drop_tombstones=drop, kernel="heap"
-        )
+        columnar = merge_sstables(self.tables(tombstones), 99, drop_tombstones=drop)
+        heap = _merge_heap(self.tables(tombstones), 99, drop, 0.01)
         assert columnar.records == heap.records
         assert columnar.size_bytes == heap.size_bytes
         assert columnar.table_id == heap.table_id == 99
@@ -294,8 +291,8 @@ class TestMergeKernels:
             make_table(0, [1], seqno_start=1),
             make_table(1, [1], seqno_start=5, tombstones={1}),
         ]
-        columnar = merge_sstables(tables, 7, drop_tombstones=True, kernel="columnar")
-        heap = merge_sstables(tables, 7, drop_tombstones=True, kernel="heap")
+        columnar = merge_sstables(tables, 7, drop_tombstones=True)
+        heap = _merge_heap(tables, 7, True, 0.01)
         assert columnar.records == heap.records
         assert columnar.records[0].tombstone
 
@@ -304,20 +301,23 @@ class TestMergeKernels:
         both kernels (heapq.merge stability)."""
         first = SSTable(0, [Record.put(1, 5, value_size=11)])
         second = SSTable(1, [Record.put(1, 5, value_size=22)])
-        columnar = merge_sstables([first, second], 9, kernel="columnar")
-        heap = merge_sstables([first, second], 9, kernel="heap")
+        columnar = merge_sstables([first, second], 9)
+        heap = _merge_heap([first, second], 9, False, 0.01)
         assert columnar.records == heap.records
         assert columnar.records[0].value_size == 11
 
-    def test_columnar_kernel_requires_columns(self):
-        table = SSTable(0, [Record.put("a", 1)])
-        other = SSTable(1, [Record.put("b", 2)])
-        with pytest.raises(StorageError):
-            merge_sstables([table, other], 5, kernel="columnar")
+    def test_auto_merges_int_tables_columnar(self):
+        merged = merge_sstables(self.tables(), 5)
+        assert "records" not in vars(merged)  # built from columns
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(StorageError):
-            merge_sstables([make_table(0, [1])], 5, kernel="vectorized")
+    def test_payload_bytes_fall_back_to_heap(self):
+        plain = make_table(0, [1, 2], seqno_start=1)
+        payload = SSTable(1, [Record.put(2, 10, value=b"xyz")])
+        assert payload.columns() is None
+        merged = merge_sstables([plain, payload], 5)
+        assert "records" in vars(merged)  # record-backed: the heap kernel
+        assert merged.records == _merge_heap([plain, payload], 5, False, 0.01).records
+        assert merged.get(2).value == b"xyz"
 
     def test_auto_falls_back_to_heap_for_string_keys(self):
         a = SSTable(0, [Record.put("a", 1)])
@@ -370,7 +370,6 @@ class TestColumnarSketchPropagation:
             SimulatedDisk(),
             next_table_id=100,
             drop_tombstones=drop_tombstones,
-            merge_kernel="columnar",
         )
 
     def test_sketches_propagate_without_tombstones(self):

@@ -6,7 +6,8 @@ import pytest
 
 from repro.errors import ScenarioError
 from repro.scenarios import REGISTRY, Scenario, ScenarioRegistry
-from repro.simulator import SimulationConfig, fast_plane_eligible, resolve_plane
+from repro.simulator import SimulationConfig
+from repro.ycsb.workload import CoreWorkload
 
 LEGACY_FIGURES = ("fig7a", "fig7b", "fig8", "fig9a", "fig9b")
 NEW_PRESETS = ("read-heavy", "timeseries-scan", "churn")
@@ -123,16 +124,17 @@ class TestRegistryBehavior:
         assert {scenario.name for scenario in figures} == set(LEGACY_FIGURES)
 
 
-class TestUniversalFastPlane:
-    """Every registered scenario runs the columnar plane under "auto".
+def _streams_columns(config: SimulationConfig) -> bool:
+    return CoreWorkload(config.workload_config()).supports_op_stream()
 
-    A quiet reference fallback made map-mode and read/scan experiments
-    an order of magnitude slower than the write-only figures without
-    anyone noticing.  This contract makes that impossible: a scenario
-    that genuinely needs the operation-at-a-time loop must carry the
-    ``reference-only`` tag, every other registered spec must resolve to
-    the fast plane for its base config, its fast variant, every
-    distribution on its axis, and every value of its sweep.
+
+class TestUniversalFastPlane:
+    """Every registered scenario can run phase 1's columnar op stream.
+
+    Phase 1 has no operation-at-a-time fallback, so every registered
+    spec's base config, its fast variant, every distribution on its axis
+    and every value of its sweep must be a valid config whose workload
+    emits the columnar stream.
     """
 
     @staticmethod
@@ -158,17 +160,13 @@ class TestUniversalFastPlane:
         "scenario", list(REGISTRY), ids=lambda scenario: scenario.name
     )
     def test_every_scenario_is_fast_plane_eligible(self, scenario):
-        if "reference-only" in scenario.tags:
-            pytest.skip(f"{scenario.name} is explicitly reference-only")
         for fast in (False, True):
             base = scenario.config_for(fast)
-            assert base.data_plane == "auto", scenario.name
             for distribution in scenario.distributions_for():
                 config = replace(base, distribution=distribution)
-                assert fast_plane_eligible(config), (scenario.name, distribution)
-                assert resolve_plane(config) == "fast"
+                assert _streams_columns(config), (scenario.name, distribution)
                 for point_config in self._sweep_configs(scenario, config):
-                    assert fast_plane_eligible(point_config), (
+                    assert _streams_columns(point_config), (
                         scenario.name,
                         distribution,
                         scenario.sweep.parameter,

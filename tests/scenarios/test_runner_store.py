@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import experiments
+from repro.analysis.experiments import ExperimentResult
+from repro.cli import main as cli_main
 from repro.errors import ResultsStoreError, ScenarioError
 from repro.scenarios import (
     REGISTRY,
@@ -17,8 +20,29 @@ from repro.scenarios import (
 from repro.scenarios.store import SCHEMA_VERSION, write_text_atomic
 from repro.simulator import SimulationConfig
 from repro.simulator.runner import ComparisonResult, SweepResult
+from tests.oracles.kernels import reference_kernels
+from tests.oracles.phase1 import generate_sstables_reference
 
 TINY = {"recordcount": 150, "operationcount": 1500, "memtable_capacity": 150}
+
+
+def _tear_writes(monkeypatch) -> None:
+    """Make every file opened for writing die halfway through a write."""
+    real_open = Path.open
+
+    def torn_open(path, mode="r", *args, **kwargs):
+        handle = real_open(path, mode, *args, **kwargs)
+        if "w" in mode:
+            real_write = handle.write
+
+            def torn_write(text):
+                real_write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+            handle.write = torn_write
+        return handle
+
+    monkeypatch.setattr(Path, "open", torn_open)
 
 
 @pytest.fixture()
@@ -58,9 +82,8 @@ class TestRunner:
 
     @pytest.mark.parametrize("name", ("read-heavy", "timeseries-scan"))
     def test_new_mix_presets_execute(self, runner, name):
-        """Read/scan mixes run end to end (on the fast plane)."""
+        """Read/scan mixes run end to end."""
         run = runner.run(name, runs=1, overrides=TINY)
-        assert run.plane_used == "fast"
         (comparison,) = run.results.values()
         for agg in comparison.per_strategy.values():
             assert agg.cost_actual_mean > 0
@@ -70,15 +93,28 @@ class TestRunner:
         (comparison,) = run.results.values()
         assert set(comparison.per_strategy) == {"SI", "BT(I)", "STCS", "LEVELED"}
 
-    def test_practical_strategies_honor_reference_kernel(self):
-        """data_plane='reference' pins the heap kernel on STCS/LEVELED too."""
-        from repro.simulator import build_strategy
+    def test_practical_strategies_identical_on_reference_kernels(self):
+        """STCS/LEVELED merge and serve the same under heap/scalar kernels."""
+        from repro.simulator import generate_sstables, run_strategy
 
-        config = REGISTRY.get("practical").config
+        config = REGISTRY.get("read-heavy").config.overridden(TINY)
+        phase1 = generate_sstables(config)
         for label in ("STCS", "LEVELED"):
-            assert build_strategy(label, config).merge_kernel == "auto"
-            reference = config.overridden({"data_plane": "reference"})
-            assert build_strategy(label, reference).merge_kernel == "heap"
+            fast = run_strategy(
+                phase1.tables, label, config, read_ops=phase1.read_ops
+            )
+            with reference_kernels():
+                reference = run_strategy(
+                    phase1.tables, label, config, read_ops=phase1.read_ops
+                )
+            for name in (
+                "n_merges", "cost_actual", "cost_simplified", "bytes_read",
+                "bytes_written", "simulated_seconds", "reads", "read_hits",
+                "read_tables_probed", "read_bytes", "scan_records_scanned",
+            ):
+                assert getattr(fast, name) == getattr(reference, name), (
+                    label, name,
+                )
 
     def test_distribution_override_wins_and_is_recorded(self, runner):
         """A --set distribution=X override must actually run X."""
@@ -122,28 +158,24 @@ class TestRunner:
             runner.run("fig8", runs=1, overrides={"memtable_capacity": 10})
 
     def test_churn_mix_identical_across_data_planes(self):
-        """Delete mixes batch on the fast plane; planes stay bit-identical."""
-        from repro.simulator import fast_plane_eligible, generate_sstables
+        """Delete mixes batch columnar, bit-identical to the op loop."""
+        from repro.simulator import generate_sstables
 
         base = REGISTRY.get("churn").config.overridden(TINY)
-        assert fast_plane_eligible(base)
-        fast = generate_sstables(base.overridden({"data_plane": "fast"}))
-        reference = generate_sstables(base.overridden({"data_plane": "reference"}))
+        fast = generate_sstables(base)
+        reference = generate_sstables_reference(base)
         assert [t.records for t in fast.tables] == [
             t.records for t in reference.tables
         ]
 
     def test_read_scan_mixes_identical_across_data_planes(self):
-        """Read/scan mixes batch on the fast plane bit-identically."""
-        from repro.simulator import fast_plane_eligible, generate_sstables
+        """Read/scan mixes batch columnar, bit-identical to the op loop."""
+        from repro.simulator import generate_sstables
 
         for name in ("read-heavy", "timeseries-scan"):
             base = REGISTRY.get(name).config.overridden(TINY)
-            assert fast_plane_eligible(base)
-            fast = generate_sstables(base.overridden({"data_plane": "fast"}))
-            reference = generate_sstables(
-                base.overridden({"data_plane": "reference"})
-            )
+            fast = generate_sstables(base)
+            reference = generate_sstables_reference(base)
             assert fast.plane_used == "fast"
             assert reference.plane_used == "reference"
             assert [t.records for t in fast.tables] == [
@@ -175,48 +207,54 @@ class TestStore:
         assert manifest.spec_hash == run.scenario.spec_hash()
         assert manifest.config["operationcount"] == 1500
         assert manifest.runs == 1
-        assert manifest.plane_used == "fast"
         assert len(manifest.cells) == len(run.scenario.strategies)
         for cell in manifest.cells:
             assert cell["distribution"] == "uniform"
-            assert cell["plane_used"] == "fast"
+            assert "plane_used" not in cell
             assert cell["cost_actual_mean"] > 0
-
-    def test_manifest_records_reference_fallback(self, runner, store):
-        """A forced reference run can never masquerade as a fast one."""
-        run, path = runner.run_and_record(
-            "churn", runs=1, overrides={**TINY, "data_plane": "reference"}
-        )
-        assert run.plane_used == "reference"
-        manifest = store.load(path)
-        assert manifest.plane_used == "reference"
-        assert {cell["plane_used"] for cell in manifest.cells} == {"reference"}
 
     def test_failed_write_leaves_no_loadable_manifest(
         self, store, monkeypatch
     ):
         """A manifest write that dies partway leaves nothing to load."""
         run = ExperimentRunner(store=None).run("churn", runs=1, overrides=TINY)
-        real_open = Path.open
-
-        def torn_open(path, mode="r", *args, **kwargs):
-            handle = real_open(path, mode, *args, **kwargs)
-            if "w" in mode:
-                real_write = handle.write
-
-                def torn_write(text):
-                    real_write(text[: len(text) // 2])
-                    raise OSError("disk full")
-
-                handle.write = torn_write
-            return handle
-
-        monkeypatch.setattr(Path, "open", torn_open)
+        _tear_writes(monkeypatch)
         with pytest.raises(OSError, match="disk full"):
             store.write(run)
         monkeypatch.undo()
         assert list(store.manifests()) == []
         assert [p for p in store.root.rglob("*") if p.is_file()] == []
+
+    @pytest.mark.parametrize("writer", ["figures-out", "bench-artifact"])
+    def test_interrupted_artifact_write_keeps_old_file(
+        self, writer, tmp_path, monkeypatch, capsys
+    ):
+        """``repro figures --out`` and the bench ``write_artifact``."""
+        result = ExperimentResult("fig8", "title", "new body", {}, {})
+        path = tmp_path / "fig8.txt"
+        path.write_text("old\n")
+        if writer == "figures-out":
+            monkeypatch.setattr(
+                experiments, "run_experiment", lambda experiment_id, **_: [result]
+            )
+
+            def write():
+                cli_main(["figures", "fig8", "--out", str(tmp_path)])
+
+        else:
+            from benchmarks.conftest import write_artifact
+
+            def write():
+                write_artifact(tmp_path, "fig8", result)
+
+        with monkeypatch.context() as torn:
+            _tear_writes(torn)
+            with pytest.raises(OSError, match="disk full"):
+                write()
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig8.txt"]
+        write()
+        assert path.read_text() == "title\n\nnew body\n"
 
     def test_atomic_write_creates_file_and_leaves_no_temp(self, tmp_path):
         path = tmp_path / "doc.json"

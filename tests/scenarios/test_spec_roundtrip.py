@@ -108,15 +108,17 @@ class TestRegisteredScenarioRoundtrips:
             Scenario.from_dict(data)
 
 
-#: Config keys of the removed thread/process merge executor and write
-#: pipeline, at the values every spec and manifest carried while those
-#: features were off.
+#: Config keys of the removed thread/process merge executor, write
+#: pipeline and data-plane choice, at the values every spec and manifest
+#: carried while those features were off (or, for ``data_plane``, left
+#: on automatic).
 RETIRED_DEFAULTS = {
     "merge_executor": "serial",
     "merge_workers": 0,
     "write_pipeline": False,
     "max_immutable_memtables": 2,
     "flush_workers": 0,
+    "data_plane": "auto",
 }
 
 
@@ -139,6 +141,8 @@ class TestRetiredConfigKeys:
             ("write_pipeline", True, "write pipeline"),
             ("max_immutable_memtables", 3, "write pipeline"),
             ("flush_workers", 2, "write pipeline"),
+            ("data_plane", "fast", "data-plane choice, which was removed"),
+            ("data_plane", "reference", "data-plane choice, which was removed"),
         ],
     )
     def test_retired_key_in_use_names_the_removed_feature(

@@ -152,7 +152,6 @@ class TestRoundTrip:
             delete_fraction=0.1,
             backend="frozenset",
             estimator="exact",
-            data_plane="reference",
             k=4,
         ),
     ]
@@ -182,13 +181,12 @@ class TestRoundTrip:
 
     def test_describe_mentions_key_knobs(self):
         config = SimulationConfig(
-            update_fraction=0.5, read_fraction=0.25, seed=9, data_plane="fast"
+            update_fraction=0.5, read_fraction=0.25, seed=9
         )
         text = config.describe()
         assert "update=50%" in text
         assert "read=25%" in text
         assert "seed=9" in text
-        assert "data_plane=fast" in text
 
 
 class TestDerivedObjects:

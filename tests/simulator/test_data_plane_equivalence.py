@@ -1,10 +1,11 @@
 """Differential harness: the batched data plane equals the reference.
 
-The fast plane (columnar phase 1 + columnar merge kernel) must produce
-**bit-identical** sstables, schedules and metrics to the reference plane
-(operation-at-a-time engine loop + heap merge) on every key
-distribution, with and without numpy, and sweep results must not depend
-on the number of worker processes.  These tests are the contract that
+Phase 1's columnar pipeline and the columnar merge kernel must produce
+**bit-identical** sstables, schedules and metrics to the reference
+(the operation-at-a-time engine loop of ``tests/oracles/phase1.py`` plus
+the heap merge kernel) on every key distribution, with and without
+numpy, and sweep results must not depend on the number of worker
+processes.  These tests are the contract that
 lets the figure goldens stay byte-identical while the pipeline gets
 faster.
 """
@@ -22,14 +23,13 @@ from repro.errors import ConfigError
 from repro.lsm.engine import EngineConfig, LSMEngine
 from repro.simulator import (
     SimulationConfig,
-    fast_plane_eligible,
     generate_sstables,
-    generate_sstables_fast,
-    generate_sstables_reference,
     run_strategy,
     sweep_update_fraction,
 )
 from repro.ycsb.workload import CoreWorkload, WorkloadConfig
+from tests.oracles.kernels import reference_kernels
+from tests.oracles.phase1 import generate_sstables_reference
 
 DISTRIBUTIONS = ("uniform", "zipfian", "scrambled_zipfian", "latest")
 
@@ -78,20 +78,18 @@ class TestPhase1Equivalence:
             distribution=distribution, update_fraction=update_fraction
         )
         assert_tables_identical(
-            generate_sstables_reference(config), generate_sstables_fast(config)
+            generate_sstables_reference(config), generate_sstables(config)
         )
 
     @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
     def test_pure_fast_matches_reference(self, pure_data_plane, distribution):
         config = small_config(distribution=distribution)
         assert_tables_identical(
-            generate_sstables_reference(config), generate_sstables_fast(config)
+            generate_sstables_reference(config), generate_sstables(config)
         )
 
     def test_auto_plane_uses_fast_pipeline(self):
         config = small_config()
-        assert config.data_plane == "auto"
-        assert fast_plane_eligible(config)
         fast = generate_sstables(config)
         assert fast.plane_used == "fast"
         if phase1_module._np is not None:
@@ -112,8 +110,7 @@ class TestPhase1Equivalence:
     def test_mode_and_mix_grid_identical(self, memtable_mode, mix):
         """Map mode and read/scan/delete mixes all run columnar now."""
         config = small_config(memtable_mode=memtable_mode, **self.MIXES[mix])
-        assert fast_plane_eligible(config)
-        fast = generate_sstables_fast(config)
+        fast = generate_sstables(config)
         assert fast.plane_used == "fast"
         assert_tables_identical(generate_sstables_reference(config), fast)
 
@@ -124,14 +121,14 @@ class TestPhase1Equivalence:
     ):
         config = small_config(memtable_mode=memtable_mode, **self.MIXES[mix])
         assert_tables_identical(
-            generate_sstables_reference(config), generate_sstables_fast(config)
+            generate_sstables_reference(config), generate_sstables(config)
         )
 
     @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
     def test_map_mode_matches_reference_per_distribution(self, distribution):
         config = small_config(memtable_mode="map", distribution=distribution)
         assert_tables_identical(
-            generate_sstables_reference(config), generate_sstables_fast(config)
+            generate_sstables_reference(config), generate_sstables(config)
         )
 
     def test_map_mode_slab_kernel_matches_pure_boundaries(self):
@@ -155,13 +152,6 @@ class TestPhase1Equivalence:
     def test_fast_plane_requires_known_memtable_mode(self):
         with pytest.raises(ConfigError):
             small_config(memtable_mode="lsm")
-
-    def test_reference_plane_forced(self):
-        config = small_config(data_plane="reference")
-        result = generate_sstables(config)
-        assert result.plane_used == "reference"
-        # Reference tables are record-backed from construction.
-        assert all("records" in vars(table) for table in result.tables)
 
     def test_fast_plane_with_deletes(self):
         """Tombstone columns survive the slab pipeline bit-identically."""
@@ -190,10 +180,11 @@ class TestPhase1Equivalence:
         engine.flush()
 
         config = small_config(recordcount=150, operationcount=1800)
-        keynums, tombstones = CoreWorkload(workload_config).write_stream_columns()
+        stream = CoreWorkload(workload_config).op_stream_columns()
+        keynums = stream.write_keynums
         tables = phase1_module._flush_slabs_columnar(
             np.asarray(keynums, dtype=np.int64),
-            tombstones,
+            stream.tombstone_positions,
             phase1_module._append_mode_slabs(len(keynums), 200),
             replace(config, memtable_capacity=200),
         )
@@ -210,15 +201,14 @@ class TestPhase2Equivalence:
         return (
             config,
             generate_sstables_reference(config),
-            generate_sstables_fast(config),
+            generate_sstables(config),
         )
 
     @pytest.mark.parametrize("label", ("SI", "SO", "BT(I)", "RANDOM"))
     def test_strategy_metrics_identical(self, planes, label):
         config, reference, fast = planes
-        result_reference = run_strategy(
-            reference.tables, label, replace(config, data_plane="reference")
-        )
+        with reference_kernels():
+            result_reference = run_strategy(reference.tables, label, config)
         result_fast = run_strategy(fast.tables, label, config)
         assert result_reference.cost_actual == result_fast.cost_actual
         assert result_reference.cost_simplified == result_fast.cost_simplified
@@ -229,16 +219,16 @@ class TestPhase2Equivalence:
 
     def test_merge_kernels_identical_on_fast_tables(self, planes):
         pytest.importorskip(
-            "numpy", reason="forces the columnar merge kernel", exc_type=ImportError
+            "numpy", reason="exercises the columnar merge kernel", exc_type=ImportError
         )
-        from repro.lsm.sstable import merge_sstables
+        from repro.lsm.sstable import _merge_heap, merge_sstables
 
         _, _, fast = planes
-        columnar = merge_sstables(
-            fast.tables, 10_000, drop_tombstones=True, kernel="columnar"
-        )
-        heap = merge_sstables(
-            fast.tables, 10_000, drop_tombstones=True, kernel="heap"
+        columnar = merge_sstables(fast.tables, 10_000, drop_tombstones=True)
+        # Built from columns: no record was materialized by the merge.
+        assert "records" not in vars(columnar)
+        heap = _merge_heap(
+            fast.tables, 10_000, drop_tombstones=True, bloom_fp_rate=0.01
         )
         assert columnar.records == heap.records
         assert columnar.size_bytes == heap.size_bytes

@@ -1,10 +1,10 @@
 """Ingest plumbing: the WAL group-commit knob, ingest wall, retired options.
 
-Phase 1 measures its ingest wall clock on either data plane, the
-``wal_sync_every`` knob reaches the disk-spill WAL through config, CLI
-and manifest, and the options of the removed concurrency paths (thread/
-process merge executor, concurrent write pipeline) are gone from the
-config, the CLI, the report and the manifest cells.
+Phase 1 measures its ingest wall clock (and so does its op-at-a-time
+oracle), the ``wal_sync_every`` knob reaches the disk-spill WAL through
+config, CLI and manifest, and the options of removed features (thread/
+process merge executor, concurrent write pipeline, data-plane choice)
+are gone from the config, the CLI, the report and the manifest cells.
 """
 
 from dataclasses import fields
@@ -16,11 +16,8 @@ from repro.errors import ConfigError
 from repro.scenarios import ResultsStore
 from repro.simulator.config import RETIRED_FIELDS, SimulationConfig
 from repro.simulator.metrics import StrategyResult, aggregate
-from repro.simulator.phase1 import (
-    generate_sstables_fast,
-    generate_sstables_reference,
-    spill_tables_to_disk,
-)
+from repro.simulator.phase1 import generate_sstables, spill_tables_to_disk
+from tests.oracles.phase1 import generate_sstables_reference
 
 TINY = dict(recordcount=120, operationcount=1500, memtable_capacity=100, seed=3)
 
@@ -36,6 +33,7 @@ RETIRED_FLAGS = [
     ["--write-pipeline"],
     ["--max-immutable-memtables", "3"],
     ["--flush-workers", "2"],
+    ["--data-plane", "reference"],
 ]
 
 
@@ -84,7 +82,7 @@ class TestWalSyncEvery:
 
     @pytest.mark.parametrize("sync_every", [1, 7, 64])
     def test_spilled_tables_unchanged_by_sync_cadence(self, sync_every):
-        tables = generate_sstables_fast(SimulationConfig(**TINY)).tables
+        tables = generate_sstables(SimulationConfig(**TINY)).tables
         spilled = spill_tables_to_disk(tables, wal_sync_every=sync_every)
         assert [t.table_id for t in spilled] == [t.table_id for t in tables]
         for original, reloaded in zip(tables, spilled):
@@ -109,7 +107,7 @@ class TestWalSyncEvery:
 class TestIngestWall:
     @pytest.mark.parametrize("mode", ["append", "map"])
     @pytest.mark.parametrize(
-        "plane", [generate_sstables_fast, generate_sstables_reference]
+        "plane", [generate_sstables, generate_sstables_reference]
     )
     def test_measured_on_both_planes(self, mode, plane):
         result = plane(SimulationConfig(**TINY, memtable_mode=mode))
@@ -148,7 +146,7 @@ class TestIngestWall:
 class TestRetiredOptions:
     def test_config_has_no_retired_field(self):
         names = {field.name for field in fields(SimulationConfig)}
-        assert len(names) == 25
+        assert len(names) == 24
         assert not names & set(RETIRED_FIELDS)
 
     @pytest.mark.parametrize(
@@ -160,14 +158,43 @@ class TestRetiredOptions:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_retired_set_override_rejected(self, capsys):
+    @pytest.mark.parametrize(
+        "override",
+        ["write_pipeline=true", "data_plane=auto", "data_plane=reference"],
+    )
+    def test_retired_set_override_rejected(self, override, capsys):
         code = main(
             ["run", "churn", "--runs", "1", "--no-store"]
             + TINY_SETS
-            + ["--set", "write_pipeline=true"]
+            + ["--set", override]
         )
         assert code == 2
-        assert "write_pipeline" in capsys.readouterr().err
+        assert override.split("=")[0] in capsys.readouterr().err
+
+    def test_manifest_with_plane_used_loads(self, capsys, tmp_path):
+        """Manifests written while phase 1 recorded its plane still load."""
+        import json
+
+        store = ResultsStore(tmp_path / "runs")
+        code = main(
+            ["run", "churn", "--runs", "1", "--store", str(store.root)]
+            + TINY_SETS
+        )
+        assert code == 0
+        (path,) = (store.root / "churn").glob("*.json")
+        document = json.loads(path.read_text())
+        assert "plane_used" not in document
+        assert all("plane_used" not in cell for cell in document["cells"])
+        document["plane_used"] = "fast"
+        document["config"]["data_plane"] = "auto"
+        for cell in document["cells"]:
+            cell["plane_used"] = "fast"
+        path.write_text(json.dumps(document))
+        manifest = store.load(path)
+        assert manifest.cells[0]["plane_used"] == "fast"
+        config = SimulationConfig.from_dict(manifest.config)
+        del manifest.config["data_plane"]
+        assert config.to_dict() == manifest.config
 
     def test_report_has_no_retired_columns(self, capsys):
         code = main(["run", "churn", "--runs", "1", "--no-store"] + TINY_SETS)

@@ -10,23 +10,20 @@ and the read metrics must surface through ``run_strategy``,
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 import repro.simulator.read_path as read_path_module
-from repro.errors import ConfigError
 from repro.simulator import (
     SimulationConfig,
+    generate_sstables,
     run_comparison,
     run_strategy,
     serve_reads,
 )
-from repro.simulator.phase1 import (
-    generate_sstables_fast,
-    generate_sstables_reference,
-)
+from repro.simulator.read_path import _serve_scalar
 from repro.scenarios.runner import render_comparison_table
+from tests.oracles.kernels import reference_kernels
+from tests.oracles.phase1 import generate_sstables_reference
 
 COUNTER_FIELDS = (
     "reads",
@@ -85,10 +82,10 @@ class TestKernelEquivalence:
             "numpy", reason="exercises the batched kernel", exc_type=ImportError
         )
         config = read_config(distribution=distribution, **MIXES[mix])
-        phase1 = generate_sstables_fast(config)
+        phase1 = generate_sstables(config)
         assert phase1.read_ops is not None and phase1.read_ops.has_ops
-        batched = serve_reads(phase1.tables, phase1.read_ops, kernel="batched")
-        scalar = serve_reads(phase1.tables, phase1.read_ops, kernel="scalar")
+        batched = serve_reads(phase1.tables, phase1.read_ops)
+        scalar = _serve_scalar(phase1.tables, phase1.read_ops)
         assert batched.kernel_used == "batched"
         assert scalar.kernel_used == "scalar"
         assert_counts_identical(batched, scalar)
@@ -102,43 +99,42 @@ class TestKernelEquivalence:
         from repro.lsm.disk import SimulatedDisk
 
         config = read_config(operationcount=4000, **MIXES["churny"])
-        phase1 = generate_sstables_fast(config)
+        phase1 = generate_sstables(config)
         strategy = build_strategy("LEVELED", config)
         result = strategy.compact(
             phase1.tables, SimulatedDisk(config.timing_model()), 10_000_000
         )
-        batched = serve_reads(
-            result.output_tables, phase1.read_ops, kernel="batched"
-        )
-        scalar = serve_reads(
-            result.output_tables, phase1.read_ops, kernel="scalar"
-        )
+        batched = serve_reads(result.output_tables, phase1.read_ops)
+        scalar = _serve_scalar(result.output_tables, phase1.read_ops)
+        assert batched.kernel_used == "batched"
         assert_counts_identical(batched, scalar)
 
     def test_auto_prefers_batched_and_falls_back(self, monkeypatch):
         config = read_config()
-        phase1 = generate_sstables_fast(config)
+        phase1 = generate_sstables(config)
         if read_path_module._np is not None:
             assert (
                 serve_reads(phase1.tables, phase1.read_ops).kernel_used
                 == "batched"
             )
         monkeypatch.setattr(read_path_module, "_np", None)
-        served = serve_reads(phase1.tables, phase1.read_ops, kernel="auto")
+        served = serve_reads(phase1.tables, phase1.read_ops)
         assert served.kernel_used == "scalar"
 
-    def test_batched_kernel_requires_numpy(self, monkeypatch):
-        config = read_config()
-        phase1 = generate_sstables_fast(config)
-        monkeypatch.setattr(read_path_module, "_np", None)
-        with pytest.raises(ConfigError):
-            serve_reads(phase1.tables, phase1.read_ops, kernel="batched")
+    def test_payload_bytes_fall_back_to_scalar(self):
+        """A table whose records carry payload bytes has no int64 columns."""
+        from repro.lsm.record import Record
+        from repro.lsm.sstable import SSTable
+        from repro.ycsb.workload import ReadOpColumns
 
-    def test_unknown_kernel_rejected(self):
-        config = read_config()
-        phase1 = generate_sstables_fast(config)
-        with pytest.raises(ConfigError):
-            serve_reads(phase1.tables, phase1.read_ops, kernel="simd")
+        plain = SSTable(0, [Record.put(key, key + 1) for key in range(10)])
+        payload = SSTable(
+            1, [Record(key=4, seqno=50, value_size=3, value=b"abc")]
+        )
+        ops = ReadOpColumns(read_keynums=[4, 5, 99], scan_keynums=[], scan_lengths=[])
+        served = serve_reads([plain, payload], ops)
+        assert served.kernel_used == "scalar"
+        assert served.hits == 2 and served.misses == 1
 
     def test_tombstones_resolve_to_misses(self):
         """A read landing on a tombstone is a probe + a miss, not a hit."""
@@ -151,10 +147,8 @@ class TestKernelEquivalence:
         ops = ReadOpColumns(
             read_keynums=[3, 7, 42], scan_keynums=[0], scan_lengths=[10]
         )
-        for kernel in ("batched", "scalar"):
-            if kernel == "batched" and read_path_module._np is None:
-                continue
-            served = serve_reads([old, new], ops, kernel=kernel)
+        for serve in (serve_reads, _serve_scalar):
+            served = serve([old, new], ops)
             assert served.hits == 1  # key 7, from the newer table
             assert served.misses == 2  # tombstoned 3 + absent 42
             # The scan sees 9 live keys (3 is shadowed).
@@ -164,7 +158,7 @@ class TestKernelEquivalence:
 class TestReadOpCollection:
     def test_planes_collect_identical_read_ops(self):
         config = read_config(**MIXES["churny"])
-        fast = generate_sstables_fast(config)
+        fast = generate_sstables(config)
         reference = generate_sstables_reference(config)
         assert fast.read_ops.read_keynums == reference.read_ops.read_keynums
         assert fast.read_ops.scan_keynums == reference.read_ops.scan_keynums
@@ -191,11 +185,11 @@ class TestReadOpCollection:
         import repro.simulator.phase1 as phase1_module
 
         config = read_config(**MIXES["read-heavy"])
-        with_numpy = generate_sstables_fast(config)
+        with_numpy = generate_sstables(config)
         monkeypatch.setattr(distributions_module, "_np", None)
         monkeypatch.setattr(workload_module, "_np", None)
         monkeypatch.setattr(phase1_module, "_np", None)
-        pure = generate_sstables_fast(config)
+        pure = generate_sstables(config)
         assert list(pure.read_ops.read_keynums) == list(
             with_numpy.read_ops.read_keynums
         )
@@ -206,14 +200,14 @@ class TestReadOpCollection:
 
     def test_write_only_mix_collects_nothing(self):
         config = read_config(read_fraction=0.0, scan_fraction=0.0)
-        assert generate_sstables_fast(config).read_ops is None
+        assert generate_sstables(config).read_ops is None
         assert generate_sstables_reference(config).read_ops is None
 
 
 class TestStrategyMetrics:
     def test_run_strategy_serves_reads(self):
         config = read_config()
-        phase1 = generate_sstables_fast(config)
+        phase1 = generate_sstables(config)
         result = run_strategy(
             phase1.tables, "SI", config, read_ops=phase1.read_ops
         )
@@ -226,7 +220,7 @@ class TestStrategyMetrics:
 
     def test_run_strategy_without_read_ops_reports_zeros(self):
         config = read_config(read_fraction=0.0, scan_fraction=0.0)
-        phase1 = generate_sstables_fast(config)
+        phase1 = generate_sstables(config)
         result = run_strategy(phase1.tables, "SI", config)
         assert result.reads == 0
         assert result.scans == 0
@@ -235,9 +229,8 @@ class TestStrategyMetrics:
     def test_reference_plane_serves_identically(self):
         config = read_config(**MIXES["read-heavy"])
         auto = run_comparison(config, ("SI",), runs=1)
-        reference = run_comparison(
-            replace(config, data_plane="reference"), ("SI",), runs=1
-        )
+        with reference_kernels():
+            reference = run_comparison(config, ("SI",), runs=1)
         agg_auto = auto.per_strategy["SI"]
         agg_reference = reference.per_strategy["SI"]
         for field in (

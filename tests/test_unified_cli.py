@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.analysis import experiments
+from repro.analysis.experiments import ExperimentResult
 from repro.cli import main
 from repro.scenarios import REGISTRY, ResultsStore, Scenario
 
@@ -58,24 +60,27 @@ class TestRun:
         assert code == 0
         assert "[manifest" not in capsys.readouterr().out
 
-    def test_verbose_surfaces_the_data_plane(self, capsys):
+    def test_verbose_prints_execution_details(self, capsys):
         code = main(
-            ["run", "churn", "--runs", "1", "--no-store", "--verbose"]
+            ["run", "read-heavy", "--runs", "1", "--no-store", "--verbose"]
             + TINY_SETS
         )
         assert code == 0
-        assert "[data plane: fast" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "[runs=1 jobs=1; read phase: served]" in out
+        assert "data plane" not in out and "plane=" not in out
+
+    def test_comparison_table_with_kway_and_strategies(self, capsys):
+        """One-off simulator comparisons: strategy subset and fan-in k."""
         code = main(
-            ["run", "churn", "--runs", "1", "--no-store", "--verbose",
-             "--data-plane", "reference"] + TINY_SETS
+            ["run", "churn", "--runs", "1", "--no-store",
+             "--strategies", "SI,RANDOM", "--set", "k=4"] + TINY_SETS
         )
         assert code == 0
-        assert "[data plane: reference" in capsys.readouterr().out
-
-    def test_header_always_shows_the_plane(self, capsys):
-        code = main(["run", "churn", "--runs", "1", "--no-store"] + TINY_SETS)
-        assert code == 0
-        assert "plane=fast" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "SI" in out and "RANDOM" in out
+        assert "cost/LOPT" in out
+        assert "k=4" in out
 
     def test_storage_disk_smoke(self, capsys):
         """--storage disk spills phase-1 tables through the on-disk
@@ -160,6 +165,38 @@ class TestRun:
         bad.write_text("{not json")
         with pytest.raises(SystemExit, match="not valid JSON"):
             main(["run", "--spec", str(bad)])
+
+
+class TestFigures:
+    """``repro figures`` plumbing, with ``run_experiment`` stubbed out."""
+
+    def test_flags_reach_run_experiment(self, capsys, monkeypatch):
+        calls = []
+
+        def fake_run_experiment(experiment_id, **kwargs):
+            calls.append((experiment_id, kwargs))
+            return [ExperimentResult(experiment_id, "stub title", "stub body", {}, {})]
+
+        monkeypatch.setattr(experiments, "run_experiment", fake_run_experiment)
+        assert main(["figures", "fig7a", "--runs", "2", "--jobs", "3"]) == 0
+        assert capsys.readouterr().out.startswith("== fig7a: stub title ==")
+        ((experiment_id, kwargs),) = calls
+        assert experiment_id == "fig7a"
+        assert kwargs["runs"] == 2 and kwargs["jobs"] == 3
+
+    def test_out_writes_files(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(
+            experiments,
+            "run_experiment",
+            lambda experiment_id, **kwargs: [
+                ExperimentResult(experiment_id, "t", "body", {}, {})
+            ],
+        )
+        out_dir = tmp_path / "figs"
+        assert main(["figures", "fig8", "--out", str(out_dir)]) == 0
+        assert "[written to" in capsys.readouterr().out
+        assert (out_dir / "fig8.txt").read_text() == "t\n\nbody\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == ["fig8.txt"]
 
 
 class TestSweep:

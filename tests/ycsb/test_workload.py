@@ -256,15 +256,17 @@ class TestOpStreamColumns:
         with pytest.raises(WorkloadError):
             workload.op_stream_columns()
 
-    def test_write_stream_columns_still_requires_writes_only(self):
+    def test_read_mix_splits_into_writes_and_read_ops(self):
         config = WorkloadConfig(
             recordcount=10,
             operationcount=10,
             read_proportion=0.5,
             update_proportion=0.5,
         )
-        with pytest.raises(WorkloadError):
-            CoreWorkload(config).write_stream_columns()
+        stream = CoreWorkload(config).op_stream_columns(include_read_ops=True)
+        assert stream.total_operations == 20
+        assert stream.read_ops.read_count > 0
+        assert stream.write_count + stream.read_ops.read_count == 20
 
 
 def _drain_run_ops(workload, count):
